@@ -36,6 +36,7 @@ from .core import (
     reference_solve,
     reference_state,
     rk_increment,
+    write_csv,
     write_trajectory_csv,
 )
 from .lyapunov import (
@@ -64,11 +65,10 @@ from .implicit import (
 )
 from .smallgain import (
     CascadeSystem,
-    ChainRun,
     IssCheckResult,
     advance_chain,
     advection_chain,
-    cascade_step,
+    chain_decay_trials,
     iss_estimate_check,
     partitioned_step,
     sigma_constant,
@@ -80,6 +80,7 @@ from .global_error import (
     ErrorReport,
     compliant_steps,
     defect,
+    defect_orders,
     error_bound,
     error_bound_finite_time,
     error_budget_step,

@@ -35,8 +35,8 @@ from .lyapunov import (
     quadratic_lyapunov,
 )
 from .implicit import implicit_euler_step
-from .smallgain import advection_chain, iss_estimate_check, partitioned_step
-from .global_error import ErrorBudget, compliant_steps
+from .smallgain import chain_decay_trials, iss_estimate_check
+from .global_error import ErrorBudget, compliant_steps, defect_orders
 from .applications import (
     boundary_sweep,
     example_fields,
@@ -194,16 +194,22 @@ def _check_boundary_step(tol, rng):
     )
 
 
+def _random_hurwitz(rng, dim):
+    """Random Hurwitz A (spectral abscissa in [-1.5, -0.5]) and the P
+    solving A'P + PA = -Q for a random Q > I."""
+    m = rng.standard_normal((dim, dim))
+    shift = float(np.max(np.linalg.eigvals(m).real)) + rng.uniform(0.5, 1.5)
+    a = m - shift * np.eye(dim)
+    basis = rng.standard_normal((dim, dim))
+    q = basis.T @ basis + np.eye(dim)
+    return a, solve_continuous_lyapunov(a.T, -q)
+
+
 def _check_a_stability(tol, rng):
     worst = math.inf
     for trial in range(tol.astab_systems):
         dim = 2 if trial % 2 == 0 else 4
-        m = rng.standard_normal((dim, dim))
-        shift = float(np.max(np.linalg.eigvals(m).real)) + rng.uniform(0.5, 1.5)
-        a = m - shift * np.eye(dim)
-        basis = rng.standard_normal((dim, dim))
-        q = basis.T @ basis + np.eye(dim)
-        p = solve_continuous_lyapunov(a.T, -q)
+        a, p = _random_hurwitz(rng, dim)
         if float(np.min(np.linalg.eigvalsh(p))) <= 0:
             return False, f"Lyapunov solve produced a non-SPD P (trial {trial})"
         field = linear_field(a)
@@ -223,37 +229,11 @@ def _check_a_stability(tol, rng):
 
 
 def _check_smallgain(tol, rng):
-    fails = 0
-    worst_steps = 0
-    for _ in range(tol.smallgain_runs):
-        n = int(rng.integers(5, 21))
-        c = float(rng.uniform(0.5, 2.0))
-        kappa = float(rng.uniform(0.0, 0.7))
-        big_k = kappa * c * n
-        theta = float(rng.uniform(0.0, 3.0))
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    fails, worst_steps = chain_decay_trials(
+        rng, tol.smallgain_runs, tol.smallgain_step_cap, tol.smallgain_target
+    )
 
-        def b(y, _k=big_k, _t=theta, _p=phase):
-            return _k * math.cos(_t * y + _p)
-
-        chain = advection_chain(n, c, b, big_k, r=10.0)
-        x = rng.uniform(-1.0, 1.0, size=n)
-        nrm = float(np.linalg.norm(x))
-        if nrm > 0:
-            x *= rng.uniform(0.1, 10.0) / nrm
-        reached = False
-        for k in range(tol.smallgain_step_cap):
-            h = 10.0 * (1.0 - float(rng.random()))
-            x = partitioned_step(chain, None, x, h)
-            if not np.all(np.isfinite(x)):
-                break
-            if float(np.max(np.abs(x))) < tol.smallgain_target:
-                reached = True
-                worst_steps = max(worst_steps, k + 1)
-                break
-        if not reached:
-            fails += 1
-
+    # Kept apart from cli._run_iss_trials, which draws alpha before the steps.
     iss_bad = 0
     printed_bad = 0
     for _ in range(tol.iss_trials):
@@ -324,12 +304,7 @@ def _check_agreement(tol, rng):
     worst = 0.0
     for trial in range(tol.agreement_systems):
         dim = dims[trial % len(dims)]
-        m = rng.standard_normal((dim, dim))
-        shift = float(np.max(np.linalg.eigvals(m).real)) + rng.uniform(0.5, 1.5)
-        a = m - shift * np.eye(dim)
-        basis = rng.standard_normal((dim, dim))
-        q = basis.T @ basis + np.eye(dim)
-        p = solve_continuous_lyapunov(a.T, -q)
+        a, p = _random_hurwitz(rng, dim)
         field = linear_field(a)
         lyap = quadratic_lyapunov(p)
         for _ in range(tol.agreement_states):
@@ -431,22 +406,10 @@ def _check_error_budget(tol, rng):
 
 
 def _check_consistency_orders(tol, rng):
-    from .core import IMPROVED_POLYGON
-    from .global_error import defect
-
     sys427 = example_fields()["sys427"]
-    x = np.array([1.2, 0.8])
-    grids = (
-        (EULER, np.logspace(-4, -1, 7)),
-        (HEUN, np.logspace(-3, -1, 5)),
-        (IMPROVED_POLYGON, np.logspace(-3, -1, 5)),
-        (KUTTA3, np.logspace(-2.5, -1, 4)),
-    )
     ok = True
     notes = []
-    for tab, hs in grids:
-        ds = [defect(sys427.field, tab, x, float(h)) for h in hs]
-        slope = float(np.polyfit(np.log(hs), np.log(ds), 1)[0])
+    for tab, _, _, slope in defect_orders(sys427.field, np.array([1.2, 0.8])):
         good = slope >= tab.order - tol.slope_margin
         ok = ok and good
         notes.append(f"{tab.name} slope {slope:.2f} (order {tab.order})")

@@ -24,6 +24,7 @@ from .core import (
     VectorField,
     _unit_ball_points,
     linear_field,
+    write_csv,
 )
 from .lyapunov import (
     DecreaseCertificate,
@@ -33,6 +34,7 @@ from .lyapunov import (
 )
 
 _M1 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+_NLP_MAX_ITER = 200000
 
 
 @dataclass(frozen=True)
@@ -214,21 +216,20 @@ def max_decrease_step(
     x: Array,
     lam: float,
     tol: float = 1e-6,
-    h_probe: float = 1.0 / 64.0,
-    h_max: float = 1e6,
 ) -> float:
     """Largest accepted step at x, located by doubling then bisection.
 
-    Returns the lower bisection endpoint (always an accepted step) once the
-    bracket is narrower than tol; 0.0 if no positive step up to h_max/2^40
-    is accepted, h_max if none up to h_max is rejected.
+    The search starts from h = 1/64.  Returns the lower bisection endpoint
+    (always an accepted step) once the bracket is narrower than tol; 0.0 if
+    no positive step down to 2^-46 is accepted, 1e6 if none up to 1e6 is
+    rejected.
     """
     x = np.asarray(x, dtype=float)
 
     def ok(h: float) -> bool:
         return decrease_test(lyap, tableau, field, x, h, lam).accepted
 
-    hi = h_probe
+    hi = 1.0 / 64.0
     shrink = 0
     while not ok(hi):
         hi *= 0.5
@@ -238,8 +239,8 @@ def max_decrease_step(
     lo = hi
     while ok(lo * 2.0):
         lo *= 2.0
-        if lo >= h_max:
-            return h_max
+        if lo >= 1e6:
+            return 1e6
     hi = lo * 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -252,16 +253,15 @@ def max_decrease_step(
 
 def boundary_sweep(
     lam: float = 0.5,
-    x1_min: float = -5.0,
-    x1_max: float = 5.0,
     n_points: int = 201,
     tol: float = 1e-6,
 ) -> dict[str, Array]:
-    """Maximum accepted step along x = (x1, 1) for the four one-step schemes
-    on the quadratically twisted system; returns {'x1': grid, name: curve}."""
+    """Maximum accepted step along x = (x1, 1), x1 in [-5, 5], for the four
+    one-step schemes on the quadratically twisted system; returns
+    {'x1': grid, name: curve}."""
     systems = example_fields()
     sys427 = systems["sys427"]
-    grid = np.linspace(x1_min, x1_max, n_points)
+    grid = np.linspace(-5.0, 5.0, n_points)
     out: dict[str, Array] = {"x1": grid}
     for tab in SWEEP_TABLEAUS:
         vals = np.empty(n_points)
@@ -274,21 +274,16 @@ def boundary_sweep(
 
 
 def write_sweep_csv(sweep: dict[str, Array], path) -> None:
-    names = [k for k in sweep if k != "x1"]
-    with open(path, "w") as fh:
-        fh.write("x1," + ",".join(names) + "\n")
-        for i in range(sweep["x1"].size):
-            row = [f"{sweep['x1'][i]:.17g}"]
-            row += [f"{sweep[name][i]:.17g}" for name in names]
-            fh.write(",".join(row) + "\n")
+    """Rows x1 followed by one column per scheme."""
+    names = ["x1", *(k for k in sweep if k != "x1")]
+    write_csv(path, names, zip(*(sweep[k].tolist() for k in names)))
 
 
 def write_steps_csv(traj: HybridTrajectory, path) -> None:
     """Step sequence as rows k,tau,h (tau is the step's start time)."""
-    with open(path, "w") as fh:
-        fh.write("k,tau,h\n")
-        for k in range(traj.steps.size):
-            fh.write(f"{k},{traj.tau[k]:.17g},{traj.steps[k]:.17g}\n")
+    write_csv(path, ("k", "tau", "h"),
+              zip(range(traj.steps.size), traj.tau.tolist(),
+                  traj.steps.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +420,17 @@ def _hess_v_norm_fd(flow: NlpFlow, w: Array) -> float:
     return float(np.linalg.norm(h, 2))
 
 
-def nlp_hessian_bound(flow: NlpFlow, w: Array, r: float,
-                      n_samples: int = 128) -> float:
+def nlp_hessian_bound(flow: NlpFlow, w: Array, r: float) -> float:
     """Bound p(w) on |hess V| over the ball of radius r |field(w)|.
 
     Exact for quadratic objectives (constant Hessian); otherwise the max
-    over a low-discrepancy ball sample plus the center, inflated by 1.5.
+    over 128 low-discrepancy ball points plus the center, inflated by 1.5.
     """
     if flow.hess_norm is not None:
         return flow.hess_norm
     w = np.asarray(w, dtype=float)
     radius = r * float(np.linalg.norm(flow.field(w)))
-    pts = [w] + list(w + radius * _unit_ball_points(flow.field.dim, n_samples))
+    pts = [w] + list(w + radius * _unit_ball_points(flow.field.dim, 128))
     return 1.5 * max(_hess_v_norm_fd(flow, p) for p in pts)
 
 
@@ -459,14 +453,14 @@ def nlp_solve(
     lam: float = 0.5,
     r: float = 1.0,
     tol: float = 1e-6,
-    max_iter: int = 200000,
     record: bool = False,
 ) -> NlpResult:
     """Drive the flow with explicit Euler and h = min(2(1-lam)/p(w), r).
 
     Every step is checked against the decrease test; a rejected step (only
     possible when p is a sampled estimate) falls back to halving.  Stops
-    when |field(w)| < tol.  With record=True the iterates are returned as a
+    when |field(w)| < tol, and raises ControllerError after 200000
+    iterations.  With record=True the iterates are returned as a
     HybridTrajectory in clock time.
     """
     w = np.asarray(w0, dtype=float).copy()
@@ -488,7 +482,7 @@ def nlp_solve(
                          certified=certified, v_history=tuple(v_hist),
                          trajectory=traj)
 
-    for k in range(max_iter):
+    for k in range(_NLP_MAX_ITER):
         fw = flow.field(w)
         res = float(np.linalg.norm(fw))
         if res < tol:
@@ -511,7 +505,7 @@ def nlp_solve(
             states.append(w.copy())
             steps.append(h)
     raise ControllerError(
-        f"no convergence in {max_iter} iterations; last residual "
+        f"no convergence in {_NLP_MAX_ITER} iterations; last residual "
         f"{float(np.linalg.norm(flow.field(w))):.3e}, last certificate "
         f"{last_cert}"
     )

@@ -32,6 +32,7 @@ from .core import (
     HybridTrajectory,
     advance,
     linear_field,
+    write_csv,
     write_trajectory_csv,
 )
 from .lyapunov import (
@@ -40,9 +41,10 @@ from .lyapunov import (
     quadratic_lyapunov,
 )
 from .implicit import implicit_euler_step
-from .smallgain import advance_chain, advection_chain, iss_estimate_check, \
-    partitioned_step, write_chain_csv, write_grid_csv
-from .global_error import ErrorBudget, compliant_steps, error_report
+from .smallgain import advance_chain, advection_chain, chain_decay_trials, \
+    iss_estimate_check, write_chain_csv, write_grid_csv
+from .global_error import ErrorBudget, compliant_steps, defect_orders, \
+    error_report
 from .applications import (
     STIFF_A,
     STIFF_P,
@@ -189,30 +191,7 @@ def _run_advection(params, out, rng):
 
 def _run_smallgain_trials(params, out, rng):
     runs = int(params["runs"])
-    cap = int(params["cap"])
-    fails = 0
-    worst = 0
-    for _ in range(runs):
-        n = int(rng.integers(5, 21))
-        c = float(rng.uniform(0.5, 2.0))
-        big_k = float(rng.uniform(0.0, 0.7)) * c * n
-        theta = float(rng.uniform(0.0, 3.0))
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        chain = advection_chain(
-            n, c, lambda y: big_k * math.cos(theta * y + phase), big_k, r=10.0
-        )
-        x = rng.uniform(-1.0, 1.0, size=n)
-        nrm = float(np.linalg.norm(x))
-        if nrm > 0:
-            x *= rng.uniform(0.1, 10.0) / nrm
-        reached = False
-        for k in range(cap):
-            x = partitioned_step(chain, None, x, 10.0 * (1.0 - rng.random()))
-            if float(np.max(np.abs(x))) < 1e-6:
-                reached = True
-                worst = max(worst, k + 1)
-                break
-        fails += 0 if reached else 1
+    fails, worst = chain_decay_trials(rng, runs, int(params["cap"]), 1e-6)
     return f"runs={runs} failures={fails} slowest_decay_steps={worst}"
 
 
@@ -221,6 +200,7 @@ def _run_iss_trials(params, out, rng):
     held = 0
     printed_held = 0
     min_margin = math.inf
+    # Kept apart from acceptance._check_smallgain, which draws alpha last.
     for _ in range(trials):
         big_l = float(rng.uniform(0.05, 5.0))
         r = float(rng.uniform(0.1, 10.0))
@@ -270,25 +250,13 @@ def _run_error_budget(params, out, rng):
 
 
 def _run_defect_orders(params, out, rng):
-    from .core import IMPROVED_POLYGON, KUTTA3
-    from .global_error import defect
-
     system = example_fields()["sys427"]
-    x = np.array([1.2, 0.8])
     rows = []
     slopes = []
-    for tab, hs in ((EULER, np.logspace(-4, -1, 7)),
-                    (HEUN, np.logspace(-3, -1, 5)),
-                    (IMPROVED_POLYGON, np.logspace(-3, -1, 5)),
-                    (KUTTA3, np.logspace(-2.5, -1, 4))):
-        ds = [defect(system.field, tab, x, float(h)) for h in hs]
-        for h, d in zip(hs, ds):
-            rows.append(f"{tab.name},{h:.17g},{d:.17g}")
-        slope = float(np.polyfit(np.log(hs), np.log(ds), 1)[0])
+    for tab, hs, ds, slope in defect_orders(system.field, np.array([1.2, 0.8])):
+        rows += [(tab.name, h, d) for h, d in zip(hs.tolist(), ds)]
         slopes.append(f"{tab.name}={slope:.2f}")
-    with open(out / "defect-orders.csv", "w") as fh:
-        fh.write("scheme,h,defect\n")
-        fh.write("\n".join(rows) + "\n")
+    write_csv(out / "defect-orders.csv", ("scheme", "h", "defect"), rows)
     return "slopes " + " ".join(slopes)
 
 

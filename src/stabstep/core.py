@@ -185,8 +185,6 @@ class StepBoundConfig:
     lambda_ball: float = 0.5
     u_input: Optional[Callable[[float], float]] = None
     norm_floor: float = 1e-14
-    numeric_fallback: bool = True
-    fallback_samples: int = 64
 
     def __post_init__(self):
         if not self.r > 0:
@@ -261,19 +259,13 @@ def estimate_gamma(field: VectorField, s: float, n_samples: int = 64) -> float:
 def _lipschitz_at(field: VectorField, x: Array, cfg: StepBoundConfig) -> float:
     if field.local_lipschitz is not None:
         return float(field.local_lipschitz(np.asarray(x, dtype=float)))
-    if not cfg.numeric_fallback:
-        raise ConfigurationError(
-            "field has no local_lipschitz and numeric fallback is disabled"
-        )
-    return estimate_local_lipschitz(field, x, cfg.lambda_ball, cfg.fallback_samples)
+    return estimate_local_lipschitz(field, x, cfg.lambda_ball)
 
 
-def _gamma_at(field: VectorField, s: float, cfg: StepBoundConfig) -> float:
+def _gamma_at(field: VectorField, s: float) -> float:
     if field.gamma is not None:
         return float(field.gamma(s))
-    if not cfg.numeric_fallback:
-        raise ConfigurationError("field has no gamma and numeric fallback is disabled")
-    return estimate_gamma(field, s, cfg.fallback_samples)
+    return estimate_gamma(field, s)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +363,7 @@ def default_phi(
     if nx < cfg.norm_floor:
         return cfg.r
     lip = _lipschitz_at(field, x, cfg)
-    grow = _gamma_at(field, nx, cfg)
+    grow = _gamma_at(field, nx)
     denom = anorm * (lip + grow)
     if denom <= 0.0:
         return cfg.r
@@ -391,7 +383,7 @@ def growth_bound(
     lam = cfg.lambda_ball
 
     def bound(y: float) -> float:
-        g = _gamma_at(field, (1.0 + lam) * y, cfg)
+        g = _gamma_at(field, (1.0 + lam) * y)
         return 1.0 + cfg.r * (1.0 + lam) * babs * g
 
     return bound
@@ -403,7 +395,7 @@ def growth_bound(
 
 @dataclass(frozen=True)
 class HybridTrajectory:
-    """Node sequence of an adaptive run: times, states, and steps taken.
+    """Node sequence of a run: times, states, and steps taken.
 
     tau has shape (N,), states (N, dim), steps (N-1,) with
     tau[i+1] == tau[i] + steps[i] exactly (the times are built by the same
@@ -443,6 +435,10 @@ class HybridTrajectory:
     def final_state(self) -> Array:
         return self.states[-1]
 
+    @property
+    def final_sup(self) -> float:
+        return float(np.max(np.abs(self.states[-1])))
+
     def state_at(self, t: float) -> Array:
         """Piecewise-linear interpolant; exact at the nodes."""
         if t < self.tau[0] or t > self.tau[-1]:
@@ -457,15 +453,34 @@ class HybridTrajectory:
         write_trajectory_csv(self, path)
 
 
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a header line and comma-separated rows.
+
+    Strings are written as they are and numbers as %.17g, which reads back
+    bit-exact.  The column formats are taken from the first row.
+    """
+    rows = iter(rows)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
+                       for v in first) + "\n"
+        fh.write(fmt % tuple(first))
+        fh.writelines(fmt % tuple(row) for row in rows)
+
+
+def _node_rows(traj: HybridTrajectory):
+    """Rows tau, h, state per node; the final node carries h = 0."""
+    return zip(traj.tau.tolist(), traj.steps.tolist() + [0.0],
+               *traj.states.T.tolist())
+
+
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
     """Rows tau,h,x_0,...,x_{n-1}; the final row carries h = 0."""
-    cols = ",".join(f"x_{j}" for j in range(traj.dim))
-    with open(path, "w") as fh:
-        fh.write(f"tau,h,{cols}\n")
-        for i in range(traj.tau.size):
-            h = traj.steps[i] if i < traj.steps.size else 0.0
-            state = ",".join(f"{v:.17g}" for v in traj.states[i])
-            fh.write(f"{traj.tau[i]:.17g},{h:.17g},{state}\n")
+    cols = [f"x_{j}" for j in range(traj.dim)]
+    write_csv(path, ["tau", "h", *cols], _node_rows(traj))
 
 
 class ConstantController:
@@ -488,15 +503,13 @@ def advance(
     t_end: float,
     cfg: Optional[StepBoundConfig] = None,
     max_steps: Optional[int] = None,
-    solve_cfg: Optional[StageSolveConfig] = None,
-    certifier: Optional[Callable[[Array, float], object]] = None,
 ) -> HybridTrajectory:
     """Run the hybrid stepping loop until t_end, a norm floor, or max_steps.
 
     The controller is called as controller(x, tau) and returns either a base
     step or a (base step, certificate) pair.  When cfg.u_input is set the
-    realized step is base * exp(-u(tau)).  An optional certifier(x, h) is
-    invoked per step to attach decrease certificates.
+    realized step is base * exp(-u(tau)).  A non-finite state raises
+    FloatingPointError rather than ending the run as if it had converged.
     """
     cfg = cfg or StepBoundConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -506,7 +519,12 @@ def advance(
     steps: list[float] = []
     certs: list = []
 
-    while tau < t_end and float(np.linalg.norm(x)) >= cfg.norm_floor:
+    while True:
+        nx = float(np.linalg.norm(x))
+        if not math.isfinite(nx):
+            raise FloatingPointError(f"non-finite state at tau={tau}")
+        if not tau < t_end or nx < cfg.norm_floor:
+            break
         if max_steps is not None and len(steps) >= max_steps:
             break
         out = controller(x, tau)
@@ -521,10 +539,7 @@ def advance(
         h = h_base
         if cfg.u_input is not None:
             h = h_base * math.exp(-float(cfg.u_input(tau)))
-        incr = rk_increment(tableau, field, x, h, solve_cfg)
-        if cert is None and certifier is not None:
-            cert = certifier(x, h)
-        x = x + h * incr
+        x = x + h * rk_increment(tableau, field, x, h)
         tau = tau + h
         taus.append(tau)
         states.append(x.copy())
@@ -535,9 +550,7 @@ def advance(
         tau=np.array(taus),
         states=np.array(states),
         steps=np.array(steps),
-        certificates=tuple(certs) if certifier is not None or any(
-            c is not None for c in certs
-        ) else (),
+        certificates=tuple(certs) if any(c is not None for c in certs) else (),
     )
 
 

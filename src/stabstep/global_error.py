@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,11 +20,16 @@ from .core import (
     Array,
     ButcherTableau,
     ConfigurationError,
+    EULER,
+    HEUN,
     HybridTrajectory,
+    IMPROVED_POLYGON,
+    KUTTA3,
     VectorField,
     reference_at_times,
     reference_solve,
     rk_increment,
+    write_csv,
 )
 
 
@@ -160,6 +165,24 @@ def defect(
     return float(np.linalg.norm((z - x) / h - incr))
 
 
+def defect_orders(field: VectorField, x: Array) -> list[tuple]:
+    """Defects at x over a step grid per explicit scheme, with slopes.
+
+    Returns (tableau, steps, defects, slope) per scheme, the slope being
+    the least-squares fit of log defect against log h, which approaches
+    the scheme's order for a smooth field.
+    """
+    out = []
+    for tab, hs in ((EULER, np.logspace(-4, -1, 7)),
+                    (HEUN, np.logspace(-3, -1, 5)),
+                    (IMPROVED_POLYGON, np.logspace(-3, -1, 5)),
+                    (KUTTA3, np.logspace(-2.5, -1, 4))):
+        ds = [defect(field, tab, x, float(h)) for h in hs]
+        slope = float(np.polyfit(np.log(hs), np.log(ds), 1)[0])
+        out.append((tab, hs, ds, slope))
+    return out
+
+
 def estimate_increment_lipschitz(
     field: VectorField,
     tableau: ButcherTableau,
@@ -198,24 +221,20 @@ def compliant_steps(
     phi_cap: float,
     t_end: float,
     rng: np.random.Generator,
-    u_range: tuple[float, float] = (0.5, 1.0),
-    dtau_block: float = 0.05,
 ) -> Array:
     """Random step sequence with every h_i within the budget rule at tau_i.
 
-    Steps are generated in blocks: the rule bound is frozen at the block's
-    start time and scaled by uniform draws from u_range.  Because the rule
-    is monotone increasing in tau, the frozen bound stays admissible for
-    every step inside the block.
+    Steps are generated in blocks of 0.05 time units: the rule bound is
+    frozen at the block's start time and scaled by uniform draws from
+    [0.5, 1).  Because the rule is monotone increasing in tau, the frozen
+    bound stays admissible for every step inside the block.
     """
-    lo, hi = u_range
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ConfigurationError("u_range must satisfy 0 < lo <= hi <= 1")
+    lo, hi = 0.5, 1.0
     chunks = []
     tau = 0.0
     while tau < t_end:
         bound = error_budget_step(budget, tau, phi_cap)
-        block_end = min(tau + dtau_block, t_end)
+        block_end = min(tau + 0.05, t_end)
         n_est = max(1, int(math.ceil((block_end - tau) / (lo * bound))) + 1)
         draws = bound * rng.uniform(lo, hi, size=n_est)
         times = tau + np.cumsum(draws)
@@ -235,10 +254,8 @@ class ErrorReport:
     bounds_hold: bool
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("tau,e_norm,bound_7_4,bound_7_6,rule_step\n")
-            for tau, e, b4, b6, rule in self.rows:
-                fh.write(f"{tau:.17g},{e:.17g},{b4:.17g},{b6:.17g},{rule:.17g}\n")
+        write_csv(path, ("tau", "e_norm", "bound_7_4", "bound_7_6", "rule_step"),
+                  self.rows)
 
 
 def error_report(
@@ -247,11 +264,10 @@ def error_report(
     tableau: ButcherTableau,
     budget: ErrorBudget,
     phi_cap: float,
-    oracle_tol: float = 1e-10,
 ) -> ErrorReport:
     """Measure the error at every node and tabulate it against both bounds
     and the rule value; bounds use the running defect supremum."""
-    errors = global_error(traj, field, tol=oracle_tol)
+    errors = global_error(traj, field, tol=1e-10)
     rows = []
     d_sup = 0.0
     ok = True

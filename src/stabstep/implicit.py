@@ -68,7 +68,6 @@ def convex_decrease_check(
     field: VectorField,
     x: Array,
     h: float,
-    solve_cfg: StageSolveConfig | None = None,
 ) -> bool:
     """Assert V(Y) <= V(x) for the implicit Euler step out of x.
 
@@ -78,7 +77,7 @@ def convex_decrease_check(
     if not lyap.convex:
         raise ConfigurationError("decrease guarantee needs a convex V")
     x = np.asarray(x, dtype=float)
-    y = implicit_euler_step(field, x, h, solve_cfg)
+    y = implicit_euler_step(field, x, h)
     vx = lyap(x)
     return lyap(y) <= vx + _SLACK * max(1.0, abs(vx))
 
@@ -106,7 +105,7 @@ def gradient_system_phi(
     nx = float(np.linalg.norm(x))
     if nx < cfg.norm_floor:
         return r
-    denom = _lipschitz_at(field, x, cfg) + _gamma_at(field, nx, cfg)
+    denom = _lipschitz_at(field, x, cfg) + _gamma_at(field, nx)
     if denom <= 0.0:
         return r
     return min(lam / denom, r)

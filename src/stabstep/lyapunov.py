@@ -11,7 +11,7 @@ Euler with a Hessian, linear systems with quadratic V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,15 +23,16 @@ from .core import (
     ControllerError,
     EULER,
     HybridTrajectory,
-    StageSolveConfig,
     StageSolveError,
     VectorField,
     _unit_ball_points,
     reference_solve,
     rk_increment,
+    write_csv,
 )
 
 _SLACK = 1e-15
+_H_SAMPLES = 33  # grid points of the curvature maximum over h in [0, r]
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ def decrease_test(
     x: Array,
     h: float,
     lam: float,
-    solve_cfg: Optional[StageSolveConfig] = None,
 ) -> DecreaseCertificate:
     """Evaluate the Lyapunov decrease condition for one candidate step.
 
@@ -110,7 +110,7 @@ def decrease_test(
     x = np.asarray(x, dtype=float)
     rhs = lyap(x) + lam * h * _lie_derivative(lyap, field, x)
     try:
-        incr = rk_increment(tableau, field, x, h, solve_cfg)
+        incr = rk_increment(tableau, field, x, h)
     except StageSolveError as exc:
         return DecreaseCertificate(
             x=x, h=h, lhs=float("nan"), rhs=rhs, accepted=False, reason=str(exc)
@@ -128,7 +128,6 @@ def halving_controller(
     h_init: float,
     lam: float,
     max_halvings: int = 40,
-    solve_cfg: Optional[StageSolveConfig] = None,
 ) -> DecreaseCertificate:
     """First accepted step in {h_init, h_init/2, ...} with its halving count.
 
@@ -139,7 +138,7 @@ def halving_controller(
         raise ConfigurationError("h_init must be positive")
     h = float(h_init)
     for k in range(max_halvings + 1):
-        cert = decrease_test(lyap, tableau, field, x, h, lam, solve_cfg)
+        cert = decrease_test(lyap, tableau, field, x, h, lam)
         if cert.accepted:
             return DecreaseCertificate(
                 x=cert.x, h=h, lhs=cert.lhs, rhs=cert.rhs,
@@ -156,7 +155,7 @@ def halving_controller(
 
 
 def _curvature_grid(
-    lyap: LyapunovFunction, field: VectorField, x: Array, r: float, h_samples: int
+    lyap: LyapunovFunction, field: VectorField, x: Array, r: float
 ) -> float:
     """max over h in [0, r] of f(x)' H_V(x + h f(x)) f(x), grid-sampled.
 
@@ -165,12 +164,10 @@ def _curvature_grid(
     """
     if lyap.hess is None:
         raise ConfigurationError("Hessian required for curvature step bounds")
-    if h_samples < 2:
-        raise ConfigurationError("need at least 2 grid points")
     fx = field(x)
-    vals = np.empty(h_samples)
-    for j in range(h_samples):
-        hj = r * j / (h_samples - 1)
+    vals = np.empty(_H_SAMPLES)
+    for j in range(_H_SAMPLES):
+        hj = r * j / (_H_SAMPLES - 1)
         vals[j] = fx @ np.asarray(lyap.hess(x + hj * fx), dtype=float) @ fx
     top = float(np.max(vals))
     if float(np.min(vals)) == top:
@@ -184,7 +181,6 @@ def euler_q_phi(
     x: Array,
     lam: float,
     r: float,
-    h_samples: int = 33,
 ) -> float:
     """Largest explicit-Euler step passing the decrease test by curvature.
 
@@ -198,7 +194,7 @@ def euler_q_phi(
         if w == 0.0 and float(np.linalg.norm(field(x))) == 0.0:
             return r
         raise ConfigurationError("grad V . f must be negative away from 0")
-    q = _curvature_grid(lyap, field, x, r, h_samples)
+    q = _curvature_grid(lyap, field, x, r)
     if q <= 0.0:
         return r
     return min(2.0 * (1.0 - lam) * (-w) / q, r)
@@ -209,7 +205,6 @@ def k1_bound_euler(
     field: VectorField,
     x: Array,
     r: float,
-    h_samples: int = 33,
 ) -> float:
     """Half the grid maximum of f' H_V(x + h f) f over h in [0, r].
 
@@ -219,7 +214,7 @@ def k1_bound_euler(
     x = np.asarray(x, dtype=float)
     if float(np.linalg.norm(field(x))) == 0.0:
         return 0.0
-    return 0.5 * _curvature_grid(lyap, field, x, r, h_samples)
+    return 0.5 * _curvature_grid(lyap, field, x, r)
 
 
 def k1_phi(
@@ -228,7 +223,6 @@ def k1_phi(
     x: Array,
     lam: float,
     r: float,
-    h_samples: int = 33,
 ) -> float:
     """Explicit-Euler step from the quadratic remainder bound K_1."""
     x = np.asarray(x, dtype=float)
@@ -237,7 +231,7 @@ def k1_phi(
         if w == 0.0 and float(np.linalg.norm(field(x))) == 0.0:
             return r
         raise ConfigurationError("grad V . f must be negative away from 0")
-    k1 = k1_bound_euler(lyap, field, x, r, h_samples)
+    k1 = k1_bound_euler(lyap, field, x, r)
     if k1 <= 0.0:
         return r
     return min((1.0 - lam) * (-w) / k1, r)
@@ -272,42 +266,34 @@ def order_p_phi(
     x: Array,
     lam: float,
     r: float,
-    decrease_rate: Optional[Callable[[Array], float]] = None,
-    h_samples: int = 9,
-    ball_samples: int = 32,
-    oracle_tol: float = 1e-12,
 ) -> float:
     """Sampled order-p step bound for a general tableau.  Not certified.
 
     Writes x + hF(h,x) = z(h,x) - h*d(h,x) for the defect d and accepts h
     once the Lipschitz error term l_V * C * h^{p+1} is dominated by the
-    flow decrease (1-lam) * h * W(x).  C is estimated from a defect grid
-    against the reference flow, l_V from gradient samples on a ball.
+    flow decrease (1-lam) * h * W(x).  C is estimated from a 9-point defect
+    grid against the reference flow, l_V from 32 gradient samples on a ball.
     """
     x = np.asarray(x, dtype=float)
-    w = -(
-        decrease_rate(x)
-        if decrease_rate is not None
-        else (lyap.decrease_rate(x) if lyap.decrease_rate is not None
-              else _lie_derivative(lyap, field, x))
-    )
+    w = -(lyap.decrease_rate(x) if lyap.decrease_rate is not None
+          else _lie_derivative(lyap, field, x))
     if w <= 0.0:
         raise ConfigurationError("flow decrease rate must be positive at x")
     p = tableau.order
     c_est = 0.0
-    for j in range(1, h_samples + 1):
-        hj = r * j / h_samples
+    for j in range(1, 10):
+        hj = r * j / 9
         try:
             incr = rk_increment(tableau, field, x, hj)
         except StageSolveError:
             continue
-        z = reference_solve(field, x, hj, oracle_tol).final_state
+        z = reference_solve(field, x, hj, 1e-12).final_state
         c_est = max(c_est, float(np.linalg.norm(z - x - hj * incr)) / hj ** (p + 1))
     if c_est == 0.0:
         return r
     c_est *= 2.0
     radius = max(float(np.linalg.norm(x)), 1.0)
-    pts = x + radius * _unit_ball_points(field.dim, ball_samples)
+    pts = x + radius * _unit_ball_points(field.dim, 32)
     l_v = max(float(np.linalg.norm(lyap.gradient(pt))) for pt in pts)
     l_v = max(1.5 * l_v, 1e-30)
     return min(((1.0 - lam) * w / (l_v * c_est)) ** (1.0 / p), r)
@@ -326,11 +312,8 @@ class CertificationReport:
     first_violation: Optional[int] = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("i,tau,V,threshold,accepted,halvings\n")
-            for i, tau, v, thr, acc, halv in self.rows:
-                fh.write(f"{i},{tau:.17g},{v:.17g},{thr:.17g},"
-                         f"{int(acc)},{halv}\n")
+        write_csv(path, ("i", "tau", "V", "threshold", "accepted", "halvings"),
+                  self.rows)
 
 
 def certify_trajectory(
@@ -384,8 +367,8 @@ def certify_trajectory(
 
 @dataclass
 class HalvingController:
-    """Start each step from h_init (or a state-dependent cap) and halve
-    until the decrease test accepts."""
+    """Start each step from h_init and halve until the decrease test
+    accepts."""
 
     lyap: LyapunovFunction
     tableau: ButcherTableau
@@ -393,14 +376,10 @@ class HalvingController:
     lam: float
     h_init: float
     max_halvings: int = 40
-    initial_cap: Optional[Callable[[Array], float]] = None
 
     def __call__(self, x: Array, tau: float):
-        h0 = self.h_init
-        if self.initial_cap is not None:
-            h0 = min(h0, float(self.initial_cap(x)))
         cert = halving_controller(
-            self.lyap, self.tableau, self.field, x, h0, self.lam,
+            self.lyap, self.tableau, self.field, x, self.h_init, self.lam,
             self.max_halvings,
         )
         return cert.h, cert
@@ -414,14 +393,9 @@ class EulerQController:
     field: VectorField
     lam: float
     r: float
-    h_samples: int = 33
-    attach_certificates: bool = True
 
     def __call__(self, x: Array, tau: float):
-        h = euler_q_phi(self.lyap, self.field, x, self.lam, self.r,
-                        self.h_samples)
-        if not self.attach_certificates:
-            return h
+        h = euler_q_phi(self.lyap, self.field, x, self.lam, self.r)
         cert = decrease_test(self.lyap, EULER, self.field, x, h, self.lam)
         return h, cert
 

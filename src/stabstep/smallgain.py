@@ -18,14 +18,20 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Array, ConfigurationError
+from .core import (
+    Array,
+    ConfigurationError,
+    HybridTrajectory,
+    _node_rows,
+    write_csv,
+)
 
 ScalarFunc = Callable[[float], float]
 
 
 @dataclass(frozen=True)
 class CascadeSystem:
-    """Cascade of n damped scalar nodes, optionally driven by a z-subsystem.
+    """Cascade of n damped scalar nodes, optionally driven by an input z.
 
     a_funcs[i] is the damping of node i+1, f_funcs[i] its coupling
     f_{i+1}(z, x_prev) where x_prev holds the pre-step values of nodes
@@ -38,8 +44,6 @@ class CascadeSystem:
     a_funcs: Sequence[ScalarFunc]
     f_funcs: Sequence[Callable]
     l_bounds: Array
-    z_dim: int = 0
-    z_scheme: Optional[Callable[[Array, float], Array]] = None
     a_vec: Optional[Callable[[Array], Array]] = None
     f_vec: Optional[Callable[[Optional[Array], Array], Array]] = None
     r: Optional[float] = None
@@ -73,59 +77,62 @@ def partitioned_step(
     return out
 
 
-def cascade_step(
-    sys: CascadeSystem, z: Optional[Array], x: Array, h: float
-) -> tuple[Optional[Array], Array]:
-    """Advance the chain and then the z-subsystem by its paired scheme."""
-    x_next = partitioned_step(sys, z, x, h)
-    z_next = z
-    if sys.z_scheme is not None:
-        z_next = sys.z_scheme(np.asarray(z, dtype=float), h)
-    return z_next, x_next
-
-
-@dataclass(frozen=True)
-class ChainRun:
-    """Chain history: times (N+1,), states (N+1, n), steps (N,)."""
-
-    tau: Array
-    states: Array
-    steps: Array
-    z_states: Optional[Array] = None
-
-    @property
-    def final_sup(self) -> float:
-        return float(np.max(np.abs(self.states[-1])))
-
-
 def advance_chain(
-    sys: CascadeSystem,
-    x0: Array,
-    steps: Sequence[float],
-    z0: Optional[Array] = None,
-) -> ChainRun:
+    sys: CascadeSystem, x0: Array, steps: Sequence[float]
+) -> HybridTrajectory:
+    """Apply partitioned_step once per given step, with no input z."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ConfigurationError("x0 must match the chain length")
-    z = None if z0 is None else np.asarray(z0, dtype=float).copy()
     steps = np.asarray(steps, dtype=float)
     states = np.empty((steps.size + 1, sys.n))
     states[0] = x
-    zs = None
-    if z is not None:
-        zs = np.empty((steps.size + 1, z.size))
-        zs[0] = z
-    for k, h in enumerate(steps):
-        z, x = cascade_step(sys, z, x, float(h))
-        states[k + 1] = x
-        if zs is not None:
-            zs[k + 1] = z
-    # accumulate times by the same additions the clock invariant checks
     taus = np.empty(steps.size + 1)
     taus[0] = 0.0
-    for k, h in enumerate(steps):
-        taus[k + 1] = taus[k] + h
-    return ChainRun(tau=taus, states=states, steps=steps, z_states=zs)
+    for k, h in enumerate(steps.tolist()):
+        x = partitioned_step(sys, None, x, h)
+        states[k + 1] = x
+        taus[k + 1] = taus[k] + h  # the additions the clock check repeats
+    return HybridTrajectory(tau=taus, states=states, steps=steps)
+
+
+def chain_decay_trials(
+    rng: np.random.Generator, runs: int, cap: int, target: float
+) -> tuple[int, int]:
+    """Random advection chains under random steps in (0, 10].
+
+    Each run draws a chain of 5-20 nodes with a reaction term up to 70% of
+    its transport and a random initial state, then steps it until the sup
+    norm drops below target, for at most cap steps.  Returns the number of
+    runs that never got there and the most steps any successful run took.
+    """
+    fails = 0
+    worst = 0
+    for _ in range(runs):
+        n = int(rng.integers(5, 21))
+        c = float(rng.uniform(0.5, 2.0))
+        big_k = float(rng.uniform(0.0, 0.7)) * c * n
+        theta = float(rng.uniform(0.0, 3.0))
+        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        chain = advection_chain(
+            n, c, lambda y: big_k * math.cos(theta * y + phase), big_k, r=10.0
+        )
+        x = rng.uniform(-1.0, 1.0, size=n)
+        nrm = float(np.linalg.norm(x))
+        if nrm > 0:
+            x *= rng.uniform(0.1, 10.0) / nrm
+        reached = False
+        for k in range(cap):
+            x = partitioned_step(chain, None, x, 10.0 * (1.0 - rng.random()))
+            sup = float(np.max(np.abs(x)))  # NaN or inf if any entry is
+            if not math.isfinite(sup):
+                break
+            if sup < target:
+                reached = True
+                worst = max(worst, k + 1)
+                break
+        fails += 0 if reached else 1
+    return fails, worst
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +179,9 @@ def iss_estimate_check(
     steps: Sequence[float],
     v: Sequence[float] | float,
     x0: float,
-    interior_samples: int = 8,
 ) -> IssCheckResult:
     """Simulate x(t+h) = (x(t) + h v(t)) / (1 + h a(x(t))) and test the
-    ISS estimate at every node and at interpolated times inside each step.
+    ISS estimate at every node and at 8 interpolated times inside each step.
 
     Requires a(y) >= L on the visited states and h_i in (0, r]; violations
     raise rather than silently producing a vacuous verdict.
@@ -207,9 +213,9 @@ def iss_estimate_check(
         for k in range(steps.size + 1):
             worst = min(worst,
                         init * math.exp(-rate * taus[k]) + gain - abs(xs[k]))
-            if k < steps.size and interior_samples > 0:
-                for j in range(1, interior_samples + 1):
-                    w = j / (interior_samples + 1.0)
+            if k < steps.size:
+                for j in range(1, 9):
+                    w = j / 9.0
                     t = taus[k] + w * steps[k]
                     val = abs((1 - w) * xs[k] + w * xs[k + 1])
                     worst = min(worst,
@@ -286,22 +292,16 @@ def advection_chain(
     )
 
 
-def write_chain_csv(run: ChainRun, path) -> None:
+def write_chain_csv(run: HybridTrajectory, path) -> None:
     """Rows tau,h,x_1..x_n with h = 0 on the final row."""
-    n = run.states.shape[1]
-    cols = ",".join(f"x_{j}" for j in range(1, n + 1))
-    with open(path, "w") as fh:
-        fh.write(f"tau,h,{cols}\n")
-        for i in range(run.tau.size):
-            h = run.steps[i] if i < run.steps.size else 0.0
-            state = ",".join(f"{val:.17g}" for val in run.states[i])
-            fh.write(f"{run.tau[i]:.17g},{h:.17g},{state}\n")
+    cols = [f"x_{j}" for j in range(1, run.dim + 1)]
+    write_csv(path, ["tau", "h", *cols], _node_rows(run))
 
 
-def write_grid_csv(run: ChainRun, path) -> None:
+def write_grid_csv(run: HybridTrajectory, path) -> None:
     """Space-time table tau,z_index,value (long form, one node per row)."""
-    with open(path, "w") as fh:
-        fh.write("tau,z_index,value\n")
-        for i in range(run.tau.size):
-            for j in range(run.states.shape[1]):
-                fh.write(f"{run.tau[i]:.17g},{j + 1},{run.states[i, j]:.17g}\n")
+    n = run.dim
+    write_csv(path, ("tau", "z_index", "value"),
+              zip(np.repeat(run.tau, n).tolist(),
+                  np.tile(np.arange(1, n + 1), run.tau.size).tolist(),
+                  run.states.ravel().tolist()))

@@ -5,17 +5,29 @@ and then asserts it.  These are the same checks `stabstep verify` runs;
 anything red here is a known, documented shortfall, not a flaky test.
 """
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from stabstep.acceptance import CRITERIA, run_criterion
 
 NUMBERS = sorted(num for num, _, _ in CRITERIA)
 
+# detail strings recorded by the benchmark at the default seed
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "golden"
+     / "verify.json").read_text()
+)["20240501"]
+
 
 @pytest.mark.parametrize("number", NUMBERS)
 def test_criterion(number):
     result = run_criterion(number)
     print(result.line())
+    # criterion 1 reports its own run time in milliseconds
+    assert re.sub(r"\b\d+ms\b", "", result.detail) == GOLDEN[str(number)][1]
     assert result.passed, result.line()
 
 

@@ -32,6 +32,7 @@ from stabstep.core import (
     reference_solve,
     reference_state,
     rk_increment,
+    write_csv,
     write_trajectory_csv,
 )
 
@@ -242,6 +243,21 @@ class TestAdvance:
                        t_end=math.inf, max_steps=7)
         assert traj.steps.size == 7
 
+    def test_overflow_raises(self):
+        # x' = 1e3 x^2 from x0 = 1 overflows within a few unit Euler steps
+        f = VectorField(dim=1, f=lambda x: 1e3 * x * x)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite state"):
+            advance(EULER, f, ConstantController(1.0), np.array([1.0]), 100.0)
+
+    def test_nan_state_raises(self):
+        # Euler overshoots x' = -sqrt(x) below 0, where the field is NaN; a
+        # NaN norm must not pass for having reached the norm floor
+        f = VectorField(dim=1, f=lambda x: -np.sqrt(x))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="tau="):
+            advance(EULER, f, ConstantController(0.8), np.array([1.0]), 100.0)
+
 
 class TestTrajectory:
     def make(self):
@@ -268,16 +284,34 @@ class TestTrajectory:
                              steps=np.array([0.5]))
 
     def test_csv_round_trip(self, tmp_path):
-        traj = self.make()
+        base = self.make()
+        extremes = (-0.0, 5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, 0.1 + 0.2)
         path = tmp_path / "t.csv"
-        write_trajectory_csv(traj, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "tau,h,x_0,x_1"
-        data = np.loadtxt(lines[1:], delimiter=",")
-        np.testing.assert_array_equal(data[:, 0], traj.tau)
-        np.testing.assert_array_equal(data[:-1, 1], traj.steps)
-        assert data[-1, 1] == 0.0
-        np.testing.assert_array_equal(data[:, 2:], traj.states)
+        for states in (base.states, *(np.array([[v, -v], [v, 1.0], [2.0, v]])
+                                      for v in extremes)):
+            traj = HybridTrajectory(tau=base.tau, states=states,
+                                    steps=base.steps)
+            write_trajectory_csv(traj, path)
+            lines = path.read_text().strip().splitlines()
+            assert lines[0] == "tau,h,x_0,x_1"
+            data = np.array([[float(v) for v in line.split(",")]
+                             for line in lines[1:]])
+            # compare bits, so -0.0 and 0.0 differ
+            assert data[:, 0].tobytes() == traj.tau.tobytes()
+            assert data[:-1, 1].tobytes() == traj.steps.tobytes()
+            assert data[-1, 1] == 0.0
+            assert data[:, 2:].tobytes() == traj.states.tobytes()
+
+    def test_write_csv_keeps_strings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ("scheme", "h", "defect"),
+                  [("euler", 0.1, 1.0 / 3.0), ("heun", 1e-3, 5e-324)])
+        assert path.read_text() == (
+            "scheme,h,defect\n"
+            "euler,0.10000000000000001,0.33333333333333331\n"
+            "heun,0.001,4.9406564584124654e-324\n"
+        )
 
 
 class TestReferenceOracle:
