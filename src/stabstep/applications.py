@@ -57,6 +57,7 @@ def _v_sq(decrease_rate: Callable[[Array], float]) -> LyapunovFunction:
         hess=lambda x: 2.0 * np.eye(x.size),
         convex=True,
         decrease_rate=decrease_rate,
+        hess_constant=True,
     )
 
 
@@ -122,6 +123,7 @@ def example_fields() -> dict[str, ExampleSystem]:
         hess=lambda x: np.eye(2),
         convex=True,
         decrease_rate=lambda x: -float(x @ x),
+        hess_constant=True,
     )
 
     return {
@@ -394,14 +396,18 @@ def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
         hess_norm = float(np.max(np.abs(np.linalg.eigvalsh(gmat)))) ** 2
         kkt = solve_kkt(objective, a, b)
 
+    def v(w: Array) -> float:
+        g, cons = residuals(w)
+        return 0.5 * float(g @ g) + 0.5 * float(cons @ cons)
+
     field = VectorField(dim=n + m, f=fvec, jacobian=jac)
     lyap = LyapunovFunction(
-        v=lambda w: 0.5 * float(residuals(w)[0] @ residuals(w)[0])
-        + 0.5 * float(residuals(w)[1] @ residuals(w)[1]),
+        v=v,
         grad=lambda w: -fvec(w),
         hess=hess_v,
         convex=objective.quadratic,
         decrease_rate=lambda w: -float(fvec(w) @ fvec(w)),
+        hess_constant=objective.quadratic,
     )
     return NlpFlow(field=field, lyap=lyap, n=n, m=m, hess_norm=hess_norm,
                    kkt_point=kkt)

@@ -11,7 +11,7 @@ interpolated linearly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -104,14 +104,18 @@ class ButcherTableau:
 
     The stage equations are Y_i = x + h * sum_j a[i, j] f(Y_j) and the
     increment is F(h, x) = sum_i b[i] f(Y_i).  Consistency (sum(b) == 1)
-    is enforced at construction; the `explicit` flag is derived from the
-    strict lower-triangularity of `a`.
+    is enforced at construction.  The `explicit` flag (strict
+    lower-triangularity of `a`) and `a_norm` (max absolute row sum of `a`,
+    the stage-contraction radius scale) are computed once there too; they
+    take no part in the constructor, repr or equality.
     """
 
     name: str
     a: Array
     b: Array
     order: int
+    explicit: bool = _field(init=False, repr=False, compare=False)
+    a_norm: float = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -124,19 +128,13 @@ class ButcherTableau:
             raise ConfigurationError("order must be a positive integer")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "explicit", bool(np.all(np.triu(a) == 0.0)))
+        object.__setattr__(self, "a_norm",
+                           float(np.max(np.sum(np.abs(a), axis=1))))
 
     @property
     def stages(self) -> int:
         return self.b.size
-
-    @property
-    def explicit(self) -> bool:
-        return bool(np.all(np.triu(self.a) == 0.0))
-
-    @property
-    def a_norm(self) -> float:
-        """Max absolute row sum of a; the stage-contraction radius scale."""
-        return float(np.max(np.sum(np.abs(self.a), axis=1)))
 
 
 EULER = ButcherTableau("euler", [[0.0]], [1.0], order=1)
@@ -510,6 +508,14 @@ def advance(
     step or a (base step, certificate) pair.  When cfg.u_input is set the
     realized step is base * exp(-u(tau)).  A non-finite state raises
     FloatingPointError rather than ending the run as if it had converged.
+
+    A certificate that carries the state it tested (`x_next`, as
+    lyapunov.decrease_test records it) is taken as the next state, without
+    evaluating the increment again, only when it tested this very step:
+    the same `x` object, the same realized h, and the same tableau and
+    field objects as this call.  Otherwise, for instance when u_input
+    shrinks the step, the increment is evaluated here.  Both paths compute
+    x + h * F(h, x) from the same operands, so the states are bit-identical.
     """
     cfg = cfg or StepBoundConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -539,7 +545,12 @@ def advance(
         h = h_base
         if cfg.u_input is not None:
             h = h_base * math.exp(-float(cfg.u_input(tau)))
-        x = x + h * rk_increment(tableau, field, x, h)
+        x_next = getattr(cert, "x_next", None)
+        if x_next is None or not (cert.x is x and cert.h == h
+                                  and cert.tableau is tableau
+                                  and cert.field is field):
+            x_next = x + h * rk_increment(tableau, field, x, h)
+        x = x_next
         tau = tau + h
         taus.append(tau)
         states.append(x.copy())

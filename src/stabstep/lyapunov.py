@@ -11,7 +11,7 @@ Euler with a Hessian, linear systems with quadratic V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +39,9 @@ _H_SAMPLES = 33  # grid points of the curvature maximum over h in [0, r]
 class LyapunovFunction:
     """Positive definite V with its gradient and optional curvature data.
 
+    convex declares V convex, which implicit Euler's unconditional decrease
+    needs.  hess_constant declares that hess returns the same matrix at
+    every x, so curvature bounds evaluate it once instead of on a grid.
     decrease_rate, when given, is the Lie derivative x -> grad V(x) . f(x)
     of the paired field; certify_trajectory can then run without the field.
     """
@@ -48,6 +51,7 @@ class LyapunovFunction:
     hess: Optional[Callable[[Array], Array]] = None
     convex: bool = False
     decrease_rate: Optional[Callable[[Array], float]] = None
+    hess_constant: bool = False
 
     def __call__(self, x: Array) -> float:
         return float(self.v(np.asarray(x, dtype=float)))
@@ -69,13 +73,20 @@ def quadratic_lyapunov(p: Array) -> LyapunovFunction:
         grad=lambda x: 2.0 * (p @ x),
         hess=lambda x: 2.0 * p,
         convex=convex,
+        hess_constant=True,
     )
 
 
 @dataclass(frozen=True)
 class DecreaseCertificate:
     """Outcome of one decrease test; `accepted` compares lhs against rhs
-    with a relative roundoff slack so exact boundary steps pass."""
+    with a relative roundoff slack so exact boundary steps pass.
+
+    x_next is the state x + h F(h, x) whose V is lhs, and tableau and field
+    are the scheme it was computed under; core.advance takes x_next as the
+    next state when it realizes this very step.  All three are None when
+    the stage solve failed, and none of them shows in repr or equality.
+    """
 
     x: Array
     h: float
@@ -84,6 +95,11 @@ class DecreaseCertificate:
     accepted: bool
     halvings: int = 0
     reason: str = ""
+    x_next: Optional[Array] = _field(default=None, repr=False, compare=False)
+    tableau: Optional[ButcherTableau] = _field(default=None, repr=False,
+                                               compare=False)
+    field: Optional[VectorField] = _field(default=None, repr=False,
+                                          compare=False)
 
 
 def _lie_derivative(lyap: LyapunovFunction, field: VectorField, x: Array) -> float:
@@ -115,9 +131,11 @@ def decrease_test(
         return DecreaseCertificate(
             x=x, h=h, lhs=float("nan"), rhs=rhs, accepted=False, reason=str(exc)
         )
-    lhs = lyap(x + h * incr)
+    x_next = x + h * incr
+    lhs = lyap(x_next)
     accepted = lhs <= rhs + _SLACK * max(1.0, abs(rhs))
-    return DecreaseCertificate(x=x, h=h, lhs=lhs, rhs=rhs, accepted=accepted)
+    return DecreaseCertificate(x=x, h=h, lhs=lhs, rhs=rhs, accepted=accepted,
+                               x_next=x_next, tableau=tableau, field=field)
 
 
 def halving_controller(
@@ -140,10 +158,7 @@ def halving_controller(
     for k in range(max_halvings + 1):
         cert = decrease_test(lyap, tableau, field, x, h, lam)
         if cert.accepted:
-            return DecreaseCertificate(
-                x=cert.x, h=h, lhs=cert.lhs, rhs=cert.rhs,
-                accepted=True, halvings=k,
-            )
+            return replace(cert, halvings=k)
         h *= 0.5
     raise ControllerError(
         f"no accepted step after {max_halvings} halvings from h={h_init}"
@@ -160,11 +175,14 @@ def _curvature_grid(
     """max over h in [0, r] of f(x)' H_V(x + h f(x)) f(x), grid-sampled.
 
     Inflated by 5% unless every sampled value coincides (constant Hessian
-    along the ray), in which case the grid maximum is exact.
+    along the ray), in which case the grid maximum is exact.  A V declared
+    hess_constant gets that exact value from a single evaluation.
     """
     if lyap.hess is None:
         raise ConfigurationError("Hessian required for curvature step bounds")
     fx = field(x)
+    if lyap.hess_constant:
+        return float(fx @ np.asarray(lyap.hess(x), dtype=float) @ fx)
     vals = np.empty(_H_SAMPLES)
     for j in range(_H_SAMPLES):
         hj = r * j / (_H_SAMPLES - 1)
@@ -341,10 +359,11 @@ def certify_trajectory(
     rows = []
     first_violation = None
     ok = True
+    v_next = lyap(traj.states[0])  # each row's V(x_{i+1}) is the next V(x_i)
     for i in range(traj.steps.size):
         x = traj.states[i]
         h = float(traj.steps[i])
-        v_here = lyap(x)
+        v_here = v_next
         threshold = v_here + lam * h * rate(x)
         v_next = lyap(traj.states[i + 1])
         accepted = v_next <= threshold + _SLACK * max(1.0, abs(threshold))

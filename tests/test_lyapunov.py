@@ -4,14 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_continuous_lyapunov
 
 from stabstep.core import (
     ConfigurationError,
     ControllerError,
     EULER,
     HEUN,
+    IMPLICIT_EULER,
+    StepBoundConfig,
+    VectorField,
     advance,
     linear_field,
+    rk_increment,
 )
 from stabstep.lyapunov import (
     EulerQController,
@@ -266,6 +273,106 @@ class TestControllers:
                                          lam=0.6, r=1.0)
         h = ctrl(np.array([0.0, 1.0]), 0.0)
         assert h == pytest.approx(0.8)
+
+
+def counting_field(a):
+    """Linear field x' = Ax whose f counts its calls in calls[0]."""
+    a = np.asarray(a, dtype=float)
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return a @ x
+
+    return VectorField(dim=a.shape[0], f=f), calls
+
+
+class TestStepReuse:
+    """advance takes the state a certificate tested, and only that one."""
+
+    A = np.array([[-1.0, 3.0], [-3.0, -1.0]])
+    X0 = np.array([1.0, 0.5])
+
+    @staticmethod
+    def decrease_tests(traj):
+        return sum(c.halvings + 1 for c in traj.certificates)
+
+    def assert_steps_are(self, traj, tableau, field):
+        for i in range(traj.steps.size):
+            x, h = traj.states[i], float(traj.steps[i])
+            expected = x + h * rk_increment(tableau, field, x, h)
+            assert np.array_equal(traj.states[i + 1], expected)
+
+    def test_one_increment_per_decrease_test(self):
+        # each Euler decrease test calls f twice, once for grad V . f and
+        # once for the increment; advance adds no call of its own
+        f, calls = counting_field(self.A)
+        ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
+        traj = advance(EULER, f, ctrl, self.X0, t_end=3.0)
+        assert calls[0] == 2 * self.decrease_tests(traj)
+
+    def test_shrunk_step_is_recomputed(self):
+        f, calls = counting_field(self.A)
+        ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
+        cfg = StepBoundConfig(u_input=lambda t: 0.3)
+        traj = advance(EULER, f, ctrl, self.X0, t_end=3.0, cfg=cfg)
+        assert calls[0] == 2 * self.decrease_tests(traj) + traj.steps.size
+        self.assert_steps_are(traj, EULER, f)
+
+    def test_other_tableau_is_recomputed(self):
+        f, calls = counting_field(self.A)
+        ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
+        traj = advance(HEUN, f, ctrl, self.X0, t_end=3.0)
+        assert calls[0] == 2 * self.decrease_tests(traj) + 2 * traj.steps.size
+        self.assert_steps_are(traj, HEUN, f)
+
+    def test_other_field_object_is_recomputed(self):
+        f, calls = counting_field(self.A)
+        twin = VectorField(dim=f.dim, f=f.f)
+        ctrl = HalvingController(vsq(), EULER, twin, lam=0.5, h_init=1.0)
+        traj = advance(EULER, f, ctrl, self.X0, t_end=3.0)
+        assert calls[0] == 2 * self.decrease_tests(traj) + traj.steps.size
+        self.assert_steps_are(traj, EULER, f)
+
+
+@st.composite
+def hurwitz_problems(draw):
+    """(A, P, x0): a Hurwitz A, P solving A'P + PA = -I, and x0 != 0."""
+    dim = draw(st.integers(2, 4))
+    m = draw(hnp.arrays(np.float64, (dim, dim),
+                        elements=st.floats(-1.0, 1.0)))
+    margin = draw(st.floats(0.25, 1.5))
+    x0 = draw(hnp.arrays(np.float64, dim, elements=st.floats(-2.0, 2.0)))
+    assume(float(np.linalg.norm(x0)) > 0.1)
+    a = m - (float(np.max(np.linalg.eigvals(m).real)) + margin) * np.eye(dim)
+    p = solve_continuous_lyapunov(a.T, -np.eye(dim))
+    return a, 0.5 * (p + p.T), x0
+
+
+class TestCertificateMatchesAudit:
+    """Each step's certificate agrees exactly with the re-audit's row."""
+
+    @staticmethod
+    def controllers(lyap, field):
+        for tab in (EULER, HEUN, IMPLICIT_EULER):
+            yield tab, HalvingController(lyap, tab, field, lam=0.5, h_init=1.0)
+        yield EULER, EulerQController(lyap, field, lam=0.5, r=1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(hurwitz_problems())
+    def test_every_step(self, problem):
+        a, p, x0 = problem
+        field, lyap = linear_field(a), quadratic_lyapunov(p)
+        for tab, ctrl in self.controllers(lyap, field):
+            traj = advance(tab, field, ctrl, x0, t_end=5.0, max_steps=5000)
+            report = certify_trajectory(lyap, traj, 0.5, field=field)
+            assert len(traj.certificates) == len(report.rows)
+            for i, (cert, row) in enumerate(zip(traj.certificates,
+                                                report.rows)):
+                _, _, _, threshold, accepted, _ = row
+                assert cert.rhs == threshold
+                assert cert.lhs == lyap(traj.states[i + 1])
+                assert cert.accepted == accepted
 
 
 class TestOrderPPhi:
