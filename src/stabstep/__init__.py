@@ -21,7 +21,6 @@ from .core import (
     OracleError,
     ReferenceSolution,
     RK4,
-    StageSolveConfig,
     StageSolveError,
     StepBoundConfig,
     TABLEAUS,
@@ -34,7 +33,6 @@ from .core import (
     linear_field,
     reference_at_times,
     reference_solve,
-    reference_state,
     rk_increment,
     write_csv,
     write_trajectory_csv,
@@ -60,7 +58,6 @@ from .implicit import (
     check_midpoint_convexity,
     convex_decrease_check,
     gradient_system_field,
-    gradient_system_phi,
     implicit_euler_step,
 )
 from .smallgain import (

@@ -45,18 +45,13 @@ class ExampleSystem:
     field: VectorField
     lyap: LyapunovFunction
 
-    @property
-    def lie_derivative(self) -> Callable[[Array], float]:
-        return self.lyap.decrease_rate
 
-
-def _v_sq(decrease_rate: Callable[[Array], float]) -> LyapunovFunction:
+def _v_sq() -> LyapunovFunction:
     return LyapunovFunction(
         v=lambda x: float(x @ x),
         grad=lambda x: 2.0 * x,
         hess=lambda x: 2.0 * np.eye(x.size),
         convex=True,
-        decrease_rate=decrease_rate,
         hess_constant=True,
     )
 
@@ -122,17 +117,13 @@ def example_fields() -> dict[str, ExampleSystem]:
         grad=lambda x: x.astype(float),
         hess=lambda x: np.eye(2),
         convex=True,
-        decrease_rate=lambda x: -float(x @ x),
         hess_constant=True,
     )
 
     return {
-        "f1": ExampleSystem("f1", f1_field,
-                            _v_sq(lambda x: -2.0 * float(x @ x))),
-        "f2": ExampleSystem("f2", f2_field,
-                            _v_sq(lambda x: -2.0 * float(x @ x) ** 2)),
-        "f3": ExampleSystem("f3", f3_field,
-                            _v_sq(lambda x: -2.0 * float(x @ x) ** 2)),
+        "f1": ExampleSystem("f1", f1_field, _v_sq()),
+        "f2": ExampleSystem("f2", f2_field, _v_sq()),
+        "f3": ExampleSystem("f3", f3_field, _v_sq()),
         "sys427": ExampleSystem("sys427", sys427_field, v427),
     }
 
@@ -294,14 +285,20 @@ def write_steps_csv(traj: HybridTrajectory, path) -> None:
 
 @dataclass(frozen=True)
 class ConvexObjective:
-    """Smooth convex objective with first and second derivatives."""
+    """Smooth convex objective with first and second derivatives.
+
+    q_matrix and c_vec are set for the quadratic x'Qx/2 + c'x only.
+    """
 
     value: Callable[[Array], float]
     grad: Callable[[Array], Array]
     hess: Callable[[Array], Array]
-    quadratic: bool = False
     q_matrix: Optional[Array] = None
     c_vec: Optional[Array] = None
+
+    @property
+    def quadratic(self) -> bool:
+        return self.q_matrix is not None
 
 
 def quadratic_objective(q: Array, c: Array) -> ConvexObjective:
@@ -316,7 +313,6 @@ def quadratic_objective(q: Array, c: Array) -> ConvexObjective:
         value=lambda x: 0.5 * float(x @ q @ x) + float(c @ x),
         grad=lambda x: q @ x + c,
         hess=lambda x: q,
-        quadratic=True,
         q_matrix=q,
         c_vec=c,
     )
@@ -406,7 +402,6 @@ def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
         grad=lambda w: -fvec(w),
         hess=hess_v,
         convex=objective.quadratic,
-        decrease_rate=lambda w: -float(fvec(w) @ fvec(w)),
         hess_constant=objective.quadratic,
     )
     return NlpFlow(field=field, lyap=lyap, n=n, m=m, hess_norm=hess_norm,
@@ -448,9 +443,6 @@ class NlpResult:
     certified: bool
     v_history: tuple
     trajectory: Optional[HybridTrajectory] = None
-
-    def split(self, n: int) -> tuple[Array, Array]:
-        return self.w[:n], self.w[n:]
 
 
 def nlp_solve(
@@ -503,8 +495,8 @@ def nlp_solve(
             certified = False
             h = cert.h
         last_cert = cert
-        w = w + h * fw
-        v_hist.append(flow.lyap(w))
+        w = cert.x_next  # w + h * fw, as the decrease test computed it
+        v_hist.append(cert.lhs)
         if record:
             t = t + h
             taus.append(t)

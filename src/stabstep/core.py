@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as _field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 Array = np.ndarray
 
@@ -71,11 +70,6 @@ class VectorField:
 
     def __call__(self, x: Array) -> Array:
         return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
-
-    @property
-    def has_certified_bounds(self) -> bool:
-        """True when gamma and local_lipschitz were supplied analytically."""
-        return self.gamma is not None and self.local_lipschitz is not None
 
 
 def linear_field(a: Array) -> VectorField:
@@ -191,40 +185,34 @@ class StepBoundConfig:
             raise ConfigurationError("lambda_ball must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class StageSolveConfig:
-    """Iteration budget and relative tolerance for implicit stage solves."""
-
-    max_iter: int = 50
-    tol: float = 1e-12
-    damping: float = 1.0
-
-
 # ---------------------------------------------------------------------------
 # numeric estimators (sampled, conservative, not certified)
+
+_N_SAMPLES = 64  # sample points per estimate
 
 
 def _unit_ball_points(dim: int, n: int) -> Array:
     """Deterministic low-discrepancy points in the closed unit ball."""
+    from scipy.stats import qmc  # deferred: scipy.stats is slow to import
+
     eng = qmc.Halton(d=dim, seed=0)
     pts = 2.0 * eng.random(n) - 1.0
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
     return pts / np.maximum(norms, 1.0)
 
 
-def estimate_local_lipschitz(
-    field: VectorField, x: Array, lam: float, n_samples: int = 64
-) -> float:
+def estimate_local_lipschitz(field: VectorField, x: Array, lam: float) -> float:
     """Sampled two-point Lipschitz quotient of f over {y : |y-x| <= lam|x|}.
 
-    The maximum quotient over all sample pairs is inflated by a factor of 2.
-    The result is a heuristic, not a certified bound.
+    The maximum quotient over all pairs of 64 sample points and x is
+    inflated by a factor of 2.  The result is a heuristic, not a certified
+    bound.
     """
     x = np.asarray(x, dtype=float)
     radius = lam * float(np.linalg.norm(x))
     if radius == 0.0:
         radius = lam  # degenerate ball at the origin; probe a unit-scale box
-    pts = x + radius * _unit_ball_points(field.dim, n_samples)
+    pts = x + radius * _unit_ball_points(field.dim, _N_SAMPLES)
     pts = np.vstack([x, pts])
     vals = np.array([field(p) for p in pts])
     diff_x = pts[:, None, :] - pts[None, :, :]
@@ -237,11 +225,11 @@ def estimate_local_lipschitz(
     return 2.0 * float(np.max(df[mask] / dx[mask]))
 
 
-def estimate_gamma(field: VectorField, s: float, n_samples: int = 64) -> float:
+def estimate_gamma(field: VectorField, s: float) -> float:
     """Sampled bound g with |f(y)| <= |y| g(s) for |y| <= s, inflated by 2."""
     if s <= 0.0:
         s = 1.0
-    dirs = _unit_ball_points(field.dim, n_samples)
+    dirs = _unit_ball_points(field.dim, _N_SAMPLES)
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = dirs / np.maximum(norms, 1e-12)
     best = 0.0
@@ -270,19 +258,20 @@ def _gamma_at(field: VectorField, s: float) -> float:
 # increment function
 
 
+_STAGE_MAX_ITER = 50
+_STAGE_TOL = 1e-12  # relative to 1 + |x|
+
+
 def rk_increment(
-    tableau: ButcherTableau,
-    field: VectorField,
-    x: Array,
-    h: float,
-    solve_cfg: Optional[StageSolveConfig] = None,
+    tableau: ButcherTableau, field: VectorField, x: Array, h: float
 ) -> Array:
     """Increment F(h, x) of the scheme, with F(0, x) = f(x).
 
     Explicit tableaus evaluate the stages sequentially.  Implicit tableaus
     solve the stage system by Newton iteration when the field has a Jacobian
-    and by damped fixed-point iteration otherwise; failure to converge within
-    the iteration budget raises StageSolveError.
+    and by fixed-point iteration otherwise, to a residual of
+    1e-12 (1 + |x|); failure to converge within 50 iterations raises
+    StageSolveError.
     """
     x = np.asarray(x, dtype=float)
     if h < 0:
@@ -299,12 +288,11 @@ def rk_increment(
             k[i] = field(yi)
         return b @ k
 
-    cfg = solve_cfg or StageSolveConfig()
-    tol = cfg.tol * (1.0 + float(np.linalg.norm(x)))
+    tol = _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
     y = np.tile(x, (s, 1))
 
     if field.jacobian is not None:
-        for _ in range(cfg.max_iter):
+        for _ in range(_STAGE_MAX_ITER):
             fy = np.array([field(yi) for yi in y])
             res = y - x - h * (a @ fy)
             if float(np.max(np.linalg.norm(res, axis=1))) <= tol:
@@ -327,7 +315,7 @@ def rk_increment(
         raise StageSolveError(f"stage Newton iteration stalled at h={h}")
 
     prev = math.inf
-    for _ in range(cfg.max_iter):
+    for _ in range(_STAGE_MAX_ITER):
         fy = np.array([field(yi) for yi in y])
         target = x + h * (a @ fy)
         shift = float(np.max(np.linalg.norm(target - y, axis=1)))
@@ -335,13 +323,13 @@ def rk_increment(
             raise StageSolveError(
                 f"stage fixed-point iteration diverged at h={h} (residual {shift:.3e})"
             )
-        y = y + cfg.damping * (target - y)
+        y = y + (target - y)  # not y = target: the sum rounds differently
         if shift <= tol:
             return b @ np.array([field(yi) for yi in y])
         prev = shift
     raise StageSolveError(
         f"stage fixed-point iteration did not converge within "
-        f"{cfg.max_iter} iterations at h={h} (residual {prev:.3e})"
+        f"{_STAGE_MAX_ITER} iterations at h={h} (residual {prev:.3e})"
     )
 
 
@@ -446,9 +434,6 @@ class HybridTrajectory:
             return self.states[-1].copy()
         w = (t - self.tau[i]) / self.steps[i]
         return self.states[i] + w * (self.states[i + 1] - self.states[i])
-
-    def to_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -581,13 +566,6 @@ class ReferenceSolution:
     def final_state(self) -> Array:
         return self.states[-1]
 
-    def at(self, t: float) -> Array:
-        i = int(np.clip(np.searchsorted(self.tau, t, side="right") - 1, 0,
-                        self.tau.size - 2))
-        span = self.tau[i + 1] - self.tau[i]
-        w = 0.0 if span == 0 else (t - self.tau[i]) / span
-        return self.states[i] + w * (self.states[i + 1] - self.states[i])
-
 
 def _rk4_grid(field: VectorField, x0: Array, t_end: float, n: int) -> Array:
     h = t_end / n
@@ -630,23 +608,19 @@ def reference_solve(
             )
 
 
-def reference_state(
-    field: VectorField, x0: Array, t: float, tol: float = 1e-12
-) -> Array:
-    """Exact-flow state z(t, x0) to tolerance tol."""
-    return reference_solve(field, x0, t, tol).final_state
-
-
 def reference_at_times(
-    field: VectorField, x0: Array, times: Sequence[float], tol: float = 1e-10
+    field: VectorField, x0: Array, times: Sequence[float]
 ) -> Array:
-    """Exact-flow states at increasing times, integrated segment by segment."""
+    """Exact-flow states at increasing times, integrated segment by segment.
+
+    The segment tolerances add up to 1e-10.
+    """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         return np.empty((0, np.asarray(x0).size))
     if times[0] != 0.0 or np.any(np.diff(times) < 0):
         raise OracleError("times must start at 0 and be nondecreasing")
-    seg_tol = tol / max(1, times.size)
+    seg_tol = 1e-10 / max(1, times.size)
     out = np.empty((times.size, np.asarray(x0).size))
     z = np.asarray(x0, dtype=float).copy()
     out[0] = z

@@ -15,29 +15,21 @@ from .core import (
     Array,
     ConfigurationError,
     IMPLICIT_EULER,
-    StageSolveConfig,
     StageSolveError,
-    StepBoundConfig,
     VectorField,
-    _gamma_at,
-    _lipschitz_at,
+    _STAGE_TOL,
     rk_increment,
 )
 from .lyapunov import LyapunovFunction, _SLACK
 
 
-def implicit_euler_step(
-    field: VectorField,
-    x: Array,
-    h: float,
-    solve_cfg: StageSolveConfig | None = None,
-) -> Array:
+def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
     """Solve Y = x + h f(Y) and return Y (the next state).
 
     Linear fields are handled by a direct solve of (I - hA)Y = x with no
     step restriction.  Otherwise the stage solve of the implicit Euler
-    tableau is used (Newton with a Jacobian, damped fixed-point without).
-    The residual is verified to 1e-12 relative before the step is accepted.
+    tableau is used (Newton with a Jacobian, fixed-point without), and its
+    residual is verified to 1e-11 (1 + |x|) before the step is accepted.
     """
     x = np.asarray(x, dtype=float)
     if h < 0:
@@ -47,16 +39,13 @@ def implicit_euler_step(
     if field.linear_matrix is not None:
         a = field.linear_matrix
         try:
-            y = np.linalg.solve(np.eye(field.dim) - h * a, x)
+            return np.linalg.solve(np.eye(field.dim) - h * a, x)
         except np.linalg.LinAlgError as exc:
             raise StageSolveError(f"I - hA singular at h={h}") from exc
-    else:
-        incr = rk_increment(IMPLICIT_EULER, field, x, h, solve_cfg)
-        y = x + h * incr
+    y = x + h * rk_increment(IMPLICIT_EULER, field, x, h)
     residual = float(np.linalg.norm(y - x - h * field(y)))
-    tol = (solve_cfg.tol if solve_cfg is not None else 1e-12)
-    bound = 10.0 * tol * (1.0 + float(np.linalg.norm(x)))
-    if residual > bound and field.linear_matrix is None:
+    bound = 10.0 * _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
+    if residual > bound:
         raise StageSolveError(
             f"implicit step residual {residual:.3e} exceeds {bound:.3e} at h={h}"
         )
@@ -82,35 +71,6 @@ def convex_decrease_check(
     return lyap(y) <= vx + _SLACK * max(1.0, abs(vx))
 
 
-def gradient_system_phi(
-    lyap: LyapunovFunction,
-    field: VectorField,
-    x: Array,
-    lam: float,
-    r: float,
-    cfg: StepBoundConfig | None = None,
-) -> float:
-    """Unique-solvability step bound min(lam / (L(x) + gamma(|x|)), r).
-
-    Applies to fields paired with a convex V in the gradient-system sense;
-    the bound is the implicit Euler specialization (|A| = 1) of the generic
-    stage-contraction radius.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError("lam must lie in (0, 1)")
-    if r <= 0:
-        raise ConfigurationError("r must be positive")
-    cfg = cfg or StepBoundConfig(r=r, lambda_ball=lam)
-    x = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(x))
-    if nx < cfg.norm_floor:
-        return r
-    denom = _lipschitz_at(field, x, cfg) + _gamma_at(field, nx)
-    if denom <= 0.0:
-        return r
-    return min(lam / denom, r)
-
-
 def gradient_system_field(lyap: LyapunovFunction, dim: int) -> VectorField:
     """The descent field f = -grad V, with Jacobian -hess V when available."""
     jac = None
@@ -120,20 +80,17 @@ def gradient_system_field(lyap: LyapunovFunction, dim: int) -> VectorField:
 
 
 def check_midpoint_convexity(
-    lyap: LyapunovFunction,
-    rng: np.random.Generator,
-    n_pairs: int = 1000,
-    scale: float = 5.0,
-    dim: int = 2,
+    lyap: LyapunovFunction, rng: np.random.Generator, dim: int = 2
 ) -> bool:
-    """Spot-check V(mid(x, y)) <= (V(x) + V(y)) / 2 on random pairs.
+    """Spot-check V(mid(x, y)) <= (V(x) + V(y)) / 2 on 1000 random pairs
+    of standard normal points scaled by 5.
 
     A cheap guard against a wrongly set convex flag; passing is evidence,
     not proof.
     """
-    for _ in range(n_pairs):
-        x = scale * rng.standard_normal(dim)
-        y = scale * rng.standard_normal(dim)
+    for _ in range(1000):
+        x = 5.0 * rng.standard_normal(dim)
+        y = 5.0 * rng.standard_normal(dim)
         lhs = lyap(0.5 * (x + y))
         rhs = 0.5 * (lyap(x) + lyap(y))
         if lhs > rhs + _SLACK * max(1.0, abs(rhs)):

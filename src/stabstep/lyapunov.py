@@ -33,6 +33,7 @@ from .core import (
 
 _SLACK = 1e-15
 _H_SAMPLES = 33  # grid points of the curvature maximum over h in [0, r]
+_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,14 @@ class LyapunovFunction:
     convex declares V convex, which implicit Euler's unconditional decrease
     needs.  hess_constant declares that hess returns the same matrix at
     every x, so curvature bounds evaluate it once instead of on a grid.
-    decrease_rate, when given, is the Lie derivative x -> grad V(x) . f(x)
-    of the paired field; certify_trajectory can then run without the field.
+    V carries no field: every decrease threshold takes grad V(x) . f(x)
+    from the field it is paired with.
     """
 
     v: Callable[[Array], float]
     grad: Callable[[Array], Array]
     hess: Optional[Callable[[Array], Array]] = None
     convex: bool = False
-    decrease_rate: Optional[Callable[[Array], float]] = None
     hess_constant: bool = False
 
     def __call__(self, x: Array) -> float:
@@ -145,23 +145,23 @@ def halving_controller(
     x: Array,
     h_init: float,
     lam: float,
-    max_halvings: int = 40,
 ) -> DecreaseCertificate:
     """First accepted step in {h_init, h_init/2, ...} with its halving count.
 
-    Exhausting max_halvings raises ControllerError: either h_init was
-    absurdly large or the Lyapunov pairing is invalid near x.
+    Rejecting all of h_init, ..., h_init / 2^40 raises ControllerError:
+    either h_init was absurdly large or the Lyapunov pairing is invalid
+    near x.
     """
     if h_init <= 0:
         raise ConfigurationError("h_init must be positive")
     h = float(h_init)
-    for k in range(max_halvings + 1):
+    for k in range(_MAX_HALVINGS + 1):
         cert = decrease_test(lyap, tableau, field, x, h, lam)
         if cert.accepted:
             return replace(cert, halvings=k)
         h *= 0.5
     raise ControllerError(
-        f"no accepted step after {max_halvings} halvings from h={h_init}"
+        f"no accepted step after {_MAX_HALVINGS} halvings from h={h_init}"
     )
 
 
@@ -293,8 +293,7 @@ def order_p_phi(
     grid against the reference flow, l_V from 32 gradient samples on a ball.
     """
     x = np.asarray(x, dtype=float)
-    w = -(lyap.decrease_rate(x) if lyap.decrease_rate is not None
-          else _lie_derivative(lyap, field, x))
+    w = -_lie_derivative(lyap, field, x)
     if w <= 0.0:
         raise ConfigurationError("flow decrease rate must be positive at x")
     p = tableau.order
@@ -338,24 +337,14 @@ def certify_trajectory(
     lyap: LyapunovFunction,
     traj: HybridTrajectory,
     lam: float,
-    field: Optional[VectorField] = None,
+    field: VectorField,
 ) -> CertificationReport:
     """Re-check the decrease condition at every recorded step.
 
-    The threshold needs grad V . f at each node; pass the field, or rely on
-    lyap.decrease_rate.  Halving counts are copied from the trajectory's
-    certificates when present.
+    Each threshold is V(x) + lam * h * grad V(x) . f(x), the one
+    decrease_test compares against.  Halving counts are copied from the
+    trajectory's certificates when present.
     """
-    if field is None and lyap.decrease_rate is None:
-        raise ConfigurationError(
-            "certification needs the field or a decrease_rate on V"
-        )
-
-    def rate(x: Array) -> float:
-        if field is not None:
-            return _lie_derivative(lyap, field, x)
-        return float(lyap.decrease_rate(x))
-
     rows = []
     first_violation = None
     ok = True
@@ -364,7 +353,7 @@ def certify_trajectory(
         x = traj.states[i]
         h = float(traj.steps[i])
         v_here = v_next
-        threshold = v_here + lam * h * rate(x)
+        threshold = v_here + lam * h * _lie_derivative(lyap, field, x)
         v_next = lyap(traj.states[i + 1])
         accepted = v_next <= threshold + _SLACK * max(1.0, abs(threshold))
         halv = 0
@@ -394,12 +383,10 @@ class HalvingController:
     field: VectorField
     lam: float
     h_init: float
-    max_halvings: int = 40
 
     def __call__(self, x: Array, tau: float):
         cert = halving_controller(
-            self.lyap, self.tableau, self.field, x, self.h_init, self.lam,
-            self.max_halvings,
+            self.lyap, self.tableau, self.field, x, self.h_init, self.lam
         )
         return cert.h, cert
 

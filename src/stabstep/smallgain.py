@@ -2,7 +2,7 @@
 
 Each chain node is advanced by the semi-implicit closed form
 
-    x_i(t+h) = (x_i(t) + h f_i(z(t), x_1(t), ..., x_{i-1}(t)))
+    x_i(t+h) = (x_i(t) + h f_i(x_1(t), ..., x_{i-1}(t)))
                / (1 + h a_i(x_i(t)))
 
 where the damping a_i enters implicitly and every coupling term reads the
@@ -31,56 +31,44 @@ ScalarFunc = Callable[[float], float]
 
 @dataclass(frozen=True)
 class CascadeSystem:
-    """Cascade of n damped scalar nodes, optionally driven by an input z.
+    """Cascade of n damped scalar nodes.
 
-    a_funcs[i] is the damping of node i+1, f_funcs[i] its coupling
-    f_{i+1}(z, x_prev) where x_prev holds the pre-step values of nodes
-    1..i.  l_bounds[i] is a positive lower bound on a_funcs[i].
-    a_vec / f_vec, when given, are vectorized equivalents used by the
-    stepper for speed; they must agree with the scalar callables.
+    Both callables map the whole pre-step state x of shape (n,) to shape
+    (n,): a_vec(x)[i] is the damping a_{i+1}(x_{i+1}) of node i+1, and
+    f_vec(x)[i] its coupling f_{i+1}(x_1, ..., x_i), which reads only the
+    nodes upstream of it.  l_bounds[i] is a positive lower bound on
+    a_vec(x)[i].  r, when set, caps the step size.
     """
 
     n: int
-    a_funcs: Sequence[ScalarFunc]
-    f_funcs: Sequence[Callable]
     l_bounds: Array
-    a_vec: Optional[Callable[[Array], Array]] = None
-    f_vec: Optional[Callable[[Optional[Array], Array], Array]] = None
+    a_vec: Callable[[Array], Array]
+    f_vec: Callable[[Array], Array]
     r: Optional[float] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError("chain needs at least one node")
-        if len(self.a_funcs) != self.n or len(self.f_funcs) != self.n:
-            raise ConfigurationError("need one a_i and f_i per node")
         l = np.asarray(self.l_bounds, dtype=float)
         if l.shape != (self.n,) or not np.all(l > 0):
             raise ConfigurationError("l_bounds must be n positive scalars")
         object.__setattr__(self, "l_bounds", l)
 
 
-def partitioned_step(
-    sys: CascadeSystem, z: Optional[Array], x: Array, h: float
-) -> Array:
-    """One semi-implicit chain update; z is read, not advanced."""
+def partitioned_step(sys: CascadeSystem, x: Array, h: float) -> Array:
+    """One semi-implicit chain update of every node from the pre-step x."""
     if h <= 0:
         raise ConfigurationError("step must be positive")
     if sys.r is not None and h > sys.r:
         raise ConfigurationError(f"step {h} exceeds the chain bound r={sys.r}")
     x = np.asarray(x, dtype=float)
-    if sys.a_vec is not None and sys.f_vec is not None:
-        return (x + h * sys.f_vec(z, x)) / (1.0 + h * sys.a_vec(x))
-    out = np.empty_like(x)
-    for i in range(sys.n):
-        drive = float(sys.f_funcs[i](z, x[:i]))
-        out[i] = (x[i] + h * drive) / (1.0 + h * float(sys.a_funcs[i](x[i])))
-    return out
+    return (x + h * sys.f_vec(x)) / (1.0 + h * sys.a_vec(x))
 
 
 def advance_chain(
     sys: CascadeSystem, x0: Array, steps: Sequence[float]
 ) -> HybridTrajectory:
-    """Apply partitioned_step once per given step, with no input z."""
+    """Apply partitioned_step once per given step."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ConfigurationError("x0 must match the chain length")
@@ -90,7 +78,7 @@ def advance_chain(
     taus = np.empty(steps.size + 1)
     taus[0] = 0.0
     for k, h in enumerate(steps.tolist()):
-        x = partitioned_step(sys, None, x, h)
+        x = partitioned_step(sys, x, h)
         states[k + 1] = x
         taus[k + 1] = taus[k] + h  # the additions the clock check repeats
     return HybridTrajectory(tau=taus, states=states, steps=steps)
@@ -123,7 +111,7 @@ def chain_decay_trials(
             x *= rng.uniform(0.1, 10.0) / nrm
         reached = False
         for k in range(cap):
-            x = partitioned_step(chain, None, x, 10.0 * (1.0 - rng.random()))
+            x = partitioned_step(chain, x, 10.0 * (1.0 - rng.random()))
             sup = float(np.max(np.abs(x)))  # NaN or inf if any entry is
             if not math.isfinite(sup):
                 break
@@ -266,28 +254,11 @@ def advection_chain(
             raise ConfigurationError(f"b({y}) exceeds the stated bound K={big_k}")
 
     ratio = c / dz
-
-    def _b_arr(vals: Array) -> Array:
-        try:
-            out = np.asarray(b_func(vals), dtype=float)
-            if out.shape == vals.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([float(b_func(v)) for v in vals])
-
-    def make_f(i: int):
-        if i == 0:
-            return lambda z, x_prev: 0.0
-        return lambda z, x_prev, i=i: ratio * float(x_prev[i - 1])
-
     return CascadeSystem(
         n=n,
-        a_funcs=[lambda y: ratio - float(b_func(y))] * n,
-        f_funcs=[make_f(i) for i in range(n)],
         l_bounds=np.full(n, big_l),
-        a_vec=lambda x: ratio - _b_arr(x),
-        f_vec=lambda z, x: ratio * np.concatenate(([0.0], x[:-1])),
+        a_vec=lambda x: ratio - np.array([float(b_func(v)) for v in x]),
+        f_vec=lambda x: ratio * np.concatenate(([0.0], x[:-1])),
         r=r,
     )
 

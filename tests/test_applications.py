@@ -89,9 +89,13 @@ class TestFieldValues:
 
     def test_lie_derivatives(self, systems):
         x = np.array([1.0, 2.0])
-        assert systems["f1"].lie_derivative(x) == pytest.approx(-2.0 * 5.0)
-        assert systems["f2"].lie_derivative(x) == pytest.approx(-2.0 * 25.0)
-        assert systems["sys427"].lie_derivative(x) == pytest.approx(-5.0)
+
+        def lie(name):
+            return float(systems[name].lyap.gradient(x) @ systems[name].field(x))
+
+        assert lie("f1") == pytest.approx(-2.0 * 5.0)
+        assert lie("f2") == pytest.approx(-2.0 * 25.0)
+        assert lie("sys427") == pytest.approx(-5.0)
 
 
 class TestLimitRadius:
@@ -212,11 +216,12 @@ class TestNlpFlow:
         assert res.iterations == 0
 
     def test_split_separates_primal_and_dual(self):
+        # w stacks the n primal entries over the m dual ones
         flow = self.pinned()
         res = nlp_solve(flow, np.zeros(3), tol=1e-7)
-        x, z = res.split(2)
-        assert x.shape == (2,)
-        assert z.shape == (1,)
+        assert (flow.n, flow.m) == (2, 1)
+        np.testing.assert_allclose(res.w[:flow.n], [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(res.w[flow.n:], [-0.5], atol=1e-6)
 
     def test_hessian_bound_for_quadratic_is_exact(self):
         flow = self.pinned()

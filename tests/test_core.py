@@ -30,7 +30,6 @@ from stabstep.core import (
     linear_field,
     reference_at_times,
     reference_solve,
-    reference_state,
     rk_increment,
     write_csv,
     write_trajectory_csv,
@@ -146,7 +145,7 @@ class TestRkIncrement:
         hs = np.logspace(h_lo, -0.5, 5)
         errs = []
         for h in hs:
-            truth = reference_state(f, x, float(h), tol=1e-13)
+            truth = reference_solve(f, x, float(h), tol=1e-13).final_state
             inc = rk_increment(tab, f, x, float(h))
             errs.append(np.linalg.norm(x + h * inc - truth))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -317,19 +316,20 @@ class TestTrajectory:
 class TestReferenceOracle:
     def test_scalar_decay_endpoint(self):
         f = scalar_decay()
-        x = reference_state(f, np.array([1.0]), 1.0)
+        x = reference_solve(f, np.array([1.0]), 1.0, tol=1e-12).final_state
         assert x[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_half_turn_of_rotation(self):
         rot = linear_field(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        x = reference_state(rot, np.array([1.0, 0.0]), math.pi)
+        x = reference_solve(rot, np.array([1.0, 0.0]), math.pi,
+                            tol=1e-12).final_state
         np.testing.assert_allclose(x, [-1.0, 0.0], atol=1e-11)
 
     def test_error_estimate_reported(self):
         f = scalar_decay()
         sol = reference_solve(f, np.array([1.0]), 2.0, tol=1e-10)
         assert sol.error_estimate <= 1e-10
-        assert sol.at(2.0)[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
+        assert sol.final_state[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
     def test_at_times_matches_closed_form(self):
         f = scalar_decay()

@@ -5,16 +5,16 @@ import pytest
 
 from stabstep.core import (
     ConfigurationError,
-    StageSolveConfig,
+    IMPLICIT_EULER,
     StepBoundConfig,
     VectorField,
+    default_phi,
     linear_field,
 )
 from stabstep.implicit import (
     check_midpoint_convexity,
     convex_decrease_check,
     gradient_system_field,
-    gradient_system_phi,
     implicit_euler_step,
 )
 from stabstep.lyapunov import LyapunovFunction, quadratic_lyapunov
@@ -86,8 +86,7 @@ def test_newton_and_fixed_point_agree_for_small_h():
     x = np.array([0.8, -0.3])
     h = 0.05
     with_jac = implicit_euler_step(f2, x, h)
-    without = implicit_euler_step(bare, x, h,
-                                  StageSolveConfig(max_iter=200, tol=1e-14))
+    without = implicit_euler_step(bare, x, h)
     np.testing.assert_allclose(with_jac, without, rtol=1e-9)
 
 
@@ -105,12 +104,18 @@ def test_cubic_damping_rescue_reaches_1e8():
     assert hit == 881
 
 
+def implicit_phi(field, x, lam, r):
+    """The stage-solvability bound min(lam / (L(x) + gamma(|x|)), r) of
+    implicit Euler, whose tableau has |A| = 1."""
+    return default_phi(field, IMPLICIT_EULER,
+                       StepBoundConfig(r=r, lambda_ball=lam), x)
+
+
 class TestGradientSystemPhi:
     def test_unit_quadratic(self):
         # V = |x|^2 / 2 gives f = -x with L = gamma = 1, so phi = lam / 2.
-        lyap = quadratic_lyapunov(np.eye(2) / 2)
         f = linear_field(-np.eye(2))
-        phi = gradient_system_phi(lyap, f, np.array([1.0, 1.0]), 0.5, 1.0)
+        phi = implicit_phi(f, np.array([1.0, 1.0]), 0.5, 1.0)
         assert phi == pytest.approx(0.25)
 
     def test_sampled_fallback_is_conservative(self):
@@ -118,19 +123,19 @@ class TestGradientSystemPhi:
         # denominator, so the bound can only shrink.
         lyap = quadratic_lyapunov(np.eye(2) / 2)
         f = gradient_system_field(lyap, 2)
-        phi = gradient_system_phi(lyap, f, np.array([1.0, 1.0]), 0.5, 1.0)
+        phi = implicit_phi(f, np.array([1.0, 1.0]), 0.5, 1.0)
         assert 0.0 < phi <= 0.25
 
     def test_r_clamps(self):
         lyap = quadratic_lyapunov(np.eye(2) / 2)
         f = gradient_system_field(lyap, 2)
-        phi = gradient_system_phi(lyap, f, np.array([1.0, 1.0]), 0.5, 0.01)
+        phi = implicit_phi(f, np.array([1.0, 1.0]), 0.5, 0.01)
         assert phi == 0.01
 
     def test_origin_returns_r(self):
         lyap = quadratic_lyapunov(np.eye(2) / 2)
         f = gradient_system_field(lyap, 2)
-        assert gradient_system_phi(lyap, f, np.zeros(2), 0.5, 3.0) == 3.0
+        assert implicit_phi(f, np.zeros(2), 0.5, 3.0) == 3.0
 
     def test_descent_direction(self):
         lyap = quadratic_lyapunov(np.array([[2.0, 0.0], [0.0, 0.5]]))

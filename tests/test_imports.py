@@ -1,0 +1,36 @@
+"""Import-time guards, each run in a fresh interpreter: what `import
+stabstep` loads, and the package names the benchmark harness needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats is slow to import, and only the sampled estimators use it
+    proc = run_python("import sys, stabstep\n"
+                      "print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_finds_its_names():
+    """bench/workloads.py imports names from the package and
+    bench/tracing.py wraps others; removing one fails here, not only in a
+    traced benchmark run.  bench/ is read in place, nothing is written."""
+    proc = run_python(f"import sys\n"
+                      f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+                      f"import tracing, workloads\n"
+                      f"tracing.install(tracing.Tracer())\n")
+    assert proc.returncode == 0, proc.stderr

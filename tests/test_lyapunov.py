@@ -10,6 +10,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from stabstep.core import (
     ConfigurationError,
+    ConstantController,
     ControllerError,
     EULER,
     HEUN,
@@ -20,11 +21,11 @@ from stabstep.core import (
     linear_field,
     rk_increment,
 )
+from stabstep.implicit import convex_decrease_check
 from stabstep.lyapunov import (
     EulerQController,
     HalvingController,
     LinearQuadraticController,
-    LyapunovFunction,
     certify_trajectory,
     decrease_test,
     euler_q_phi,
@@ -129,7 +130,7 @@ class TestHalvingController:
         grow = linear_field(np.array([[1.0]]))
         with pytest.raises(ControllerError):
             halving_controller(quadratic_lyapunov(np.eye(1)), EULER, grow,
-                               np.array([1.0]), 1.0, 0.5, max_halvings=8)
+                               np.array([1.0]), 1.0, 0.5)
 
     def test_sound_after_halving(self):
         """Whenever the controller halves, the doubled step must fail."""
@@ -250,15 +251,6 @@ class TestCertification:
         assert lines[0] == "i,tau,V,threshold,accepted,halvings"
         assert len(lines) == traj.steps.size + 1
 
-    def test_needs_field_or_rate(self):
-        lyap = LyapunovFunction(v=lambda x: float(x @ x),
-                                grad=lambda x: 2.0 * np.asarray(x))
-        f = spiral()
-        ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=0.4)
-        traj = advance(EULER, f, ctrl, np.array([1.0, 0.0]), t_end=1.0)
-        with pytest.raises(ConfigurationError):
-            certify_trajectory(lyap, traj, 0.5)
-
 
 class TestControllers:
     def test_euler_q_controller_attaches_certs(self):
@@ -373,6 +365,61 @@ class TestCertificateMatchesAudit:
                 assert cert.rhs == threshold
                 assert cert.lhs == lyap(traj.states[i + 1])
                 assert cert.accepted == accepted
+
+
+class TestExactClock:
+    """tau[i+1] == tau[i] + h[i] bit for bit, and h[i] is the controller's
+    base step times exp(-u(tau[i])), under any controller and input."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(hurwitz_problems(), st.sampled_from([EULER, HEUN, IMPLICIT_EULER]),
+           st.floats(0.05, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 10.0))
+    def test_clock(self, problem, tab, frac, u_amp, u_freq):
+        a, p, x0 = problem
+        field, lyap = linear_field(a), quadratic_lyapunov(p)
+        # |1 + h lam| <= 1 + h|A| keeps constant-step Euler finite to t = 3
+        h = frac / float(np.linalg.norm(a, 2))
+
+        def u(tau):
+            return u_amp * (1.0 + math.sin(u_freq * tau))
+
+        cfg = StepBoundConfig(u_input=u)
+        for ctrl in (ConstantController(h),
+                     HalvingController(lyap, tab, field, lam=0.5, h_init=h)):
+            traj = advance(tab, field, ctrl, x0, t_end=3.0, cfg=cfg,
+                           max_steps=200)
+            assert np.array_equal(traj.tau[1:], traj.tau[:-1] + traj.steps)
+            bases = [c.h for c in traj.certificates] or [h] * traj.steps.size
+            assert traj.steps.tolist() == [
+                base * math.exp(-u(tau))
+                for base, tau in zip(bases, traj.tau.tolist())]
+
+
+class TestConvexDecrease:
+    """Implicit Euler decreases a convex V paired with its field, at every
+    step size."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(hurwitz_problems(), st.floats(-3.0, 3.0))
+    def test_every_h(self, problem, log_h):
+        a, p, x0 = problem
+        assert convex_decrease_check(quadratic_lyapunov(p), linear_field(a),
+                                     x0, 10.0 ** log_h)
+
+
+class TestEulerLawAgreement:
+    """On x' = Ax with V = x'Px the closed-form and both curvature step
+    laws are the same number, up to roundoff."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(hurwitz_problems(), st.floats(0.05, 0.95))
+    def test_three_laws(self, problem, lam):
+        a, p, x = problem
+        field, lyap = linear_field(a), quadratic_lyapunov(p)
+        laws = (linear_phi(a, p, x, lam, 1e9),
+                euler_q_phi(lyap, field, x, lam, 1e9),
+                k1_phi(lyap, field, x, lam, 1e9))
+        assert max(laws) - min(laws) <= 1e-12 * max(laws)
 
 
 class TestOrderPPhi:

@@ -30,19 +30,19 @@ def unit_chain(n):
 class TestPartitionedStep:
     def test_single_node_halves(self):
         chain = unit_chain(1)
-        out = partitioned_step(chain, None, np.array([1.0]), 1.0)
+        out = partitioned_step(chain, np.array([1.0]), 1.0)
         assert out[0] == 0.5
 
     def test_updates_read_old_neighbors(self):
         # Node 2 must see the pre-update value of node 1.  A leaky
         # implementation that reads the new 0.5 would produce 0.25.
         chain = unit_chain(3)
-        out = partitioned_step(chain, None, np.array([1.0, 0.0, 0.0]), 1.0)
+        out = partitioned_step(chain, np.array([1.0, 0.0, 0.0]), 1.0)
         np.testing.assert_allclose(out, [0.5, 0.5, 0.0])
 
     def test_origin_is_fixed(self):
         chain = unit_chain(4)
-        out = partitioned_step(chain, None, np.zeros(4), 0.7)
+        out = partitioned_step(chain, np.zeros(4), 0.7)
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_supnorm_never_grows_without_reaction(self):
@@ -52,14 +52,14 @@ class TestPartitionedStep:
         x = rng.normal(size=6) * 3.0
         for _ in range(50):
             h = float(rng.uniform(0.01, 5.0))
-            nxt = partitioned_step(chain, None, x, h)
+            nxt = partitioned_step(chain, x, h)
             assert np.max(np.abs(nxt)) <= np.max(np.abs(x)) + 1e-14
             x = nxt
 
     def test_step_cap_enforced(self):
         chain = advection_chain(3, 3.0, lambda y: 0.0, 0.0, r=0.5)
         with pytest.raises(ConfigurationError):
-            partitioned_step(chain, None, np.ones(3), 0.6)
+            partitioned_step(chain, np.ones(3), 0.6)
 
 
 class TestAdvanceChain:
@@ -158,7 +158,7 @@ class TestAdvectionChain:
 
     def test_inflow_boundary_is_zero(self):
         chain = advection_chain(3, 3.0, lambda y: 0.0, 0.0)
-        out = partitioned_step(chain, None, np.array([2.0, 2.0, 2.0]), 0.5)
+        out = partitioned_step(chain, np.array([2.0, 2.0, 2.0]), 0.5)
         # first cell has no upstream neighbor; c/dz = 3 * 3 = 9
         assert out[0] == pytest.approx(2.0 / (1.0 + 0.5 * 9.0))
 
@@ -175,7 +175,7 @@ class TestAdvectionChain:
         rng = np.random.default_rng(13)
         chain = advection_chain(5, 2.0, lambda y: 0.3 * math.cos(y), 0.3)
         x = rng.normal(size=5)
-        fast = partitioned_step(chain, None, x, 0.2)
+        fast = partitioned_step(chain, x, 0.2)
         slow = np.empty(5)
         dz = 1.0 / 5
         ratio = 2.0 / dz
@@ -189,6 +189,5 @@ class TestAdvectionChain:
 class TestCascadeValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            CascadeSystem(n=2, a_funcs=(lambda z, x: 1.0,),
-                          f_funcs=(lambda z, x: 0.0,),
-                          l_bounds=(1.0, 1.0))
+            CascadeSystem(n=2, l_bounds=(1.0,), a_vec=lambda x: 1.0 + 0.0 * x,
+                          f_vec=lambda x: 0.0 * x)
