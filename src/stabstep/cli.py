@@ -206,9 +206,12 @@ def _run_iss_trials(params, out, rng):
         r = float(rng.uniform(0.1, 10.0))
         m = int(rng.integers(20, 120))
         alpha = float(rng.uniform(0.0, 2.0))
+
+        def a(y, _l=big_l, _al=alpha):
+            return _l * (1.0 + _al * y * y / (1.0 + y * y))
+
         res = iss_estimate_check(
-            lambda y: big_l * (1.0 + alpha * y * y / (1.0 + y * y)),
-            big_l, r, r * (1.0 - rng.random(m)),
+            a, big_l, r, r * (1.0 - rng.random(m)),
             rng.normal(0.0, rng.uniform(0.0, 3.0), size=m),
             float(rng.uniform(-10.0, 10.0)),
         )

@@ -30,6 +30,12 @@ def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
     step restriction.  Otherwise the stage solve of the implicit Euler
     tableau is used (Newton with a Jacobian, fixed-point without), and its
     residual is verified to 1e-11 (1 + |x|) before the step is accepted.
+
+    The returned state is rebuilt as x + h F from the stage, so its residual
+    is the stage residual multiplied by about h |J|.  A Newton step that
+    misses the plain bound is therefore held to the bound times
+    1 + h |J(Y)|_2, with J evaluated only then.  The fixed-point path keeps
+    the plain bound: its convergence already implies h L < 1.
     """
     x = np.asarray(x, dtype=float)
     if h < 0:
@@ -45,6 +51,9 @@ def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
     y = x + h * rk_increment(IMPLICIT_EULER, field, x, h)
     residual = float(np.linalg.norm(y - x - h * field(y)))
     bound = 10.0 * _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
+    if residual > bound and field.jacobian is not None:
+        jac = np.asarray(field.jacobian(y), dtype=float)
+        bound *= 1.0 + h * float(np.linalg.norm(jac, 2))
     if residual > bound:
         raise StageSolveError(
             f"implicit step residual {residual:.3e} exceeds {bound:.3e} at h={h}"

@@ -6,6 +6,7 @@ import pytest
 from stabstep.core import (
     ConfigurationError,
     IMPLICIT_EULER,
+    StageSolveError,
     StepBoundConfig,
     VectorField,
     default_phi,
@@ -88,6 +89,29 @@ def test_newton_and_fixed_point_agree_for_small_h():
     with_jac = implicit_euler_step(f2, x, h)
     without = implicit_euler_step(bare, x, h)
     np.testing.assert_allclose(with_jac, without, rtol=1e-9)
+
+
+@pytest.mark.parametrize("h", [1e3, 1e4])
+def test_newton_step_accepted_at_large_h(h):
+    # f = -x with a Jacobian: the stage solve converges, and the rebuilt
+    # state x + h F carries the stage residual times about h |J|.  The
+    # rebuild cancels, so the answer x/(1+h) is exact to 1e-12 of |x|.
+    f = gradient_system_field(quadratic_lyapunov(np.eye(2) / 2), 2)
+    x = np.array([1.0, 1.0])
+    y = implicit_euler_step(f, x, h)
+    assert np.max(np.abs(y - x / (1.0 + h))) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("h", [1.0, 1e3])
+def test_perturbed_increment_still_rejected(monkeypatch, h):
+    import stabstep.implicit as implicit
+
+    real = implicit.rk_increment
+    monkeypatch.setattr(implicit, "rk_increment",
+                        lambda *args: real(*args) + 1e-6)
+    f = gradient_system_field(quadratic_lyapunov(np.eye(2) / 2), 2)
+    with pytest.raises(StageSolveError):
+        implicit_euler_step(f, np.array([1.0, 1.0]), h)
 
 
 def test_cubic_damping_rescue_reaches_1e8():
