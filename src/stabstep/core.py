@@ -596,6 +596,11 @@ def reference_solve(
     coarse = _rk4_grid(field, x0, t_end, n)
     while True:
         fine = _rk4_grid(field, x0, t_end, 2 * n)
+        if not np.all(np.isfinite(fine[-1])):
+            raise OracleError(
+                f"reference solve reached a non-finite state at "
+                f"t_end={t_end:g} with n={2 * n} steps"
+            )
         err = float(np.linalg.norm(fine[-1] - coarse[-1])) / 15.0
         if err < tol:
             grid = np.linspace(0.0, t_end, 2 * n + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -204,6 +204,30 @@ def estimate_increment_lipschitz(
     return 2.0 * best
 
 
+def _compliant_blocks(
+    budget: ErrorBudget,
+    phi_cap: float,
+    t_end: float,
+    rng: np.random.Generator,
+) -> Iterator[Array]:
+    """The blocks of `compliant_steps`, yielded one at a time as drawn."""
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(
+            f"compliant steps need a horizon 0 < t_end < inf, got {t_end}"
+        )
+    lo, hi = 0.5, 1.0
+    tau = 0.0
+    while tau < t_end:
+        bound = error_budget_step(budget, tau, phi_cap)
+        block_end = min(tau + 0.05, t_end)
+        n_est = max(1, int(math.ceil((block_end - tau) / (lo * bound))) + 1)
+        draws = bound * rng.uniform(lo, hi, size=n_est)
+        times = tau + np.cumsum(draws)
+        keep = int(np.searchsorted(times, block_end, side="left")) + 1
+        yield draws[:keep]
+        tau = float(times[min(keep, times.size) - 1])
+
+
 def compliant_steps(
     budget: ErrorBudget,
     phi_cap: float,
@@ -215,22 +239,10 @@ def compliant_steps(
     Steps are generated in blocks of 0.05 time units: the rule bound is
     frozen at the block's start time and scaled by uniform draws from
     [0.5, 1).  Because the rule is monotone increasing in tau, the frozen
-    bound stays admissible for every step inside the block.
+    bound stays admissible for every step inside the block.  The horizon
+    must satisfy 0 < t_end < inf.
     """
-    lo, hi = 0.5, 1.0
-    chunks = []
-    tau = 0.0
-    while tau < t_end:
-        bound = error_budget_step(budget, tau, phi_cap)
-        block_end = min(tau + 0.05, t_end)
-        n_est = max(1, int(math.ceil((block_end - tau) / (lo * bound))) + 1)
-        draws = bound * rng.uniform(lo, hi, size=n_est)
-        times = tau + np.cumsum(draws)
-        keep = int(np.searchsorted(times, block_end, side="left")) + 1
-        draws = draws[:keep]
-        chunks.append(draws)
-        tau = float(times[min(keep, times.size) - 1])
-    return np.concatenate(chunks)
+    return np.concatenate(list(_compliant_blocks(budget, phi_cap, t_end, rng)))
 
 
 @dataclass(frozen=True)

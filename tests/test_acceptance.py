@@ -7,11 +7,20 @@ anything red here is a known, documented shortfall, not a flaky test.
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stabstep.acceptance import CRITERIA, run_criterion
+from stabstep.acceptance import (
+    AcceptanceTolerances,
+    CRITERIA,
+    _euler_decay_errors,
+    run_criterion,
+)
+from stabstep.global_error import ErrorBudget, _compliant_blocks
 
 NUMBERS = sorted(num for num, _, _ in CRITERIA)
 
@@ -39,3 +48,52 @@ def test_suite_runtime_budget():
     for number in NUMBERS:
         run_criterion(number)
     assert time.perf_counter() - start < 60.0
+
+
+def _whole_array_reference(steps: np.ndarray) -> float:
+    """Worst node error of Euler on x' = -x from x0 = 1 for given steps."""
+    taus = np.concatenate([[0.0], np.cumsum(steps)])
+    xs = np.concatenate([[1.0], np.cumprod(1.0 - steps)])
+    return float(np.max(np.abs(np.exp(-taus) - xs)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(0, 70_000), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, 0.0))
+@example(size=1, seed=1, log_scale=-1.0)
+@example(size=32767, seed=2, log_scale=-3.0)
+@example(size=32768, seed=3, log_scale=-4.0)
+@example(size=32769, seed=4, log_scale=-5.0)
+def test_streamed_decay_errors_match_the_whole_array(size, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    steps = 10.0 ** log_scale * rng.uniform(0.01, 1.0, size)
+    cuts = np.sort(rng.integers(0, size + 1, rng.integers(0, 6)))
+    blocks = np.split(steps, cuts)
+    assert (_euler_decay_errors(blocks).hex()
+            == _whole_array_reference(steps).hex())
+
+
+def test_streamed_decay_errors_keep_a_nan():
+    steps = np.full(40_000, 1e-4)
+    steps[35_000] = np.nan
+    assert np.isnan(_whole_array_reference(steps))
+    assert np.isnan(_euler_decay_errors([steps]))
+
+
+def test_budget_sequence_streams_in_bounded_memory():
+    """One full-length criterion 10 sequence (about 2.7 million steps, 22 MB
+    as one float64 array) is evaluated without holding it."""
+    tol = AcceptanceTolerances()
+    budget = ErrorBudget(
+        epsilon=tol.budget_epsilon, sigma=1.0, lam=0.5,
+        a_gain=lambda s: s, l_of_x0=1.0, k_of_x0=0.5, p=1, x0_norm=1.0,
+    )
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        _euler_decay_errors(
+            _compliant_blocks(budget, 1.0, tol.budget_horizon, rng))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"

@@ -1,6 +1,7 @@
 """Core stepper tests: increments, step bounds, trajectories, oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -341,3 +342,13 @@ class TestReferenceOracle:
         f = scalar_decay()
         with pytest.raises(OracleError):
             reference_at_times(f, np.array([1.0]), np.array([0.1, 0.2]))
+
+    def test_blow_up_raises_instead_of_refining_forever(self):
+        # x' = x^2 from 2 blows up at t = 1/2, so every RK4 grid to t = 1
+        # ends non-finite and the Richardson estimate is NaN
+        blow_up = VectorField(1, lambda x: x * x)
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OracleError, match=r"t_end=1 with n=\d+"):
+                reference_solve(blow_up, np.array([2.0]), 1.0)
+        assert time.perf_counter() - start < 1.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabstep.core import (
+    ConfigurationError,
     ConstantController,
     EULER,
     HEUN,
@@ -16,6 +17,7 @@ from stabstep.core import (
 )
 from stabstep.global_error import (
     ErrorBudget,
+    _compliant_blocks,
     compliant_steps,
     defect,
     error_bound,
@@ -151,6 +153,25 @@ class TestCompliantSteps:
         steps = compliant_steps(unit_budget(), 1.0, 5.0, rng)
         assert np.sum(steps) >= 5.0
         assert np.all(steps > 0.0)
+
+    def test_blocks_join_to_the_same_steps_and_draws(self):
+        budget = unit_budget(epsilon=0.01)
+        rng_blocks = np.random.default_rng(53)
+        rng_steps = np.random.default_rng(53)
+        joined = np.concatenate(list(_compliant_blocks(budget, 1.0, 6.0,
+                                                       rng_blocks)))
+        steps = compliant_steps(budget, 1.0, 6.0, rng_steps)
+        assert np.array_equal(joined, steps)
+        assert rng_blocks.random() == rng_steps.random()
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, t_end):
+        rng = np.random.default_rng(54)
+        untouched = np.random.default_rng(54)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            compliant_steps(unit_budget(), 1.0, t_end, rng)
+        # refused before any draw
+        assert rng.random() == untouched.random()
 
 
 class TestErrorReport:

@@ -34,3 +34,13 @@ def test_benchmark_finds_its_names():
                       f"import tracing, workloads\n"
                       f"tracing.install(tracing.Tracer())\n")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_and_none_is_a_module():
+    import types
+
+    import stabstep
+
+    assert len(stabstep.__all__) == len(set(stabstep.__all__))
+    for name in stabstep.__all__:
+        assert not isinstance(getattr(stabstep, name), types.ModuleType), name
