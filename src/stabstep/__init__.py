@@ -84,7 +84,6 @@ from .global_error import (
     error_report,
     estimate_increment_lipschitz,
     euler_budget_step,
-    global_error,
     order_reduction_exponent,
 )
 from .applications import (
@@ -146,7 +145,7 @@ __all__ = [
     "ErrorBudget", "ErrorReport", "compliant_steps", "defect", "defect_orders",
     "error_bound", "error_bound_finite_time", "error_budget_step",
     "error_report", "estimate_increment_lipschitz", "euler_budget_step",
-    "global_error", "order_reduction_exponent",
+    "order_reduction_exponent",
     # applications
     "ConvexObjective", "ExampleSystem", "NlpFlow", "NlpResult", "STIFF_A",
     "STIFF_P", "SWEEP_TABLEAUS", "boundary_sweep", "euler_f2_limit_radius",

@@ -36,7 +36,8 @@ from .lyapunov import (
 )
 from .implicit import implicit_euler_step
 from .smallgain import chain_decay_trials, iss_estimate_check
-from .global_error import ErrorBudget, _compliant_blocks, defect_orders
+from .global_error import (ErrorBudget, _compliant_blocks, defect_orders,
+                           order_reduction_exponent)
 from .applications import (
     boundary_sweep,
     example_fields,
@@ -413,8 +414,7 @@ def _check_error_budget(tol, rng):
     ok_budget = worst <= tol.budget_epsilon
 
     # order-reduction exponent of the horizon-free bound, vs measured decay
-    lam9 = 0.9
-    target = lam9 * 1.0 / (lam9 * 1.0 + 1.0)
+    target = order_reduction_exponent(replace(budget, lam=0.9))
     sups = []
     hs = (1e-1, 1e-2, 1e-3)
     for h in hs:

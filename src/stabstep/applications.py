@@ -23,11 +23,11 @@ from .core import (
     KUTTA3,
     VectorField,
     _unit_ball_points,
+    advance,
     linear_field,
     write_csv,
 )
 from .lyapunov import (
-    DecreaseCertificate,
     LyapunovFunction,
     decrease_test,
     halving_controller,
@@ -442,7 +442,7 @@ class NlpResult:
     residual: float
     certified: bool
     v_history: tuple
-    trajectory: Optional[HybridTrajectory] = None
+    trajectory: HybridTrajectory
 
 
 def nlp_solve(
@@ -451,40 +451,27 @@ def nlp_solve(
     lam: float = 0.5,
     r: float = 1.0,
     tol: float = 1e-6,
-    record: bool = False,
 ) -> NlpResult:
     """Drive the flow with explicit Euler and h = min(2(1-lam)/p(w), r).
 
-    Every step is checked against the decrease test; a rejected step (only
-    possible when p is a sampled estimate) falls back to halving.  Stops
-    when |field(w)| < tol, and raises ControllerError after 200000
-    iterations.  With record=True the iterates are returned as a
-    HybridTrajectory in clock time.
+    The step law is a controller that core.advance calls, so the iterates
+    come back as a HybridTrajectory in clock time with one decrease
+    certificate per step.  A rejected step (only possible when p is a
+    sampled estimate) falls back to halving and clears `certified`.  The
+    run stops when |field(w)| < tol; a non-finite iterate raises
+    FloatingPointError, and 200000 steps without convergence raise
+    ControllerError.
     """
-    w = np.asarray(w0, dtype=float).copy()
-    v_hist = [flow.lyap(w)]
     certified = True
-    last_cert: DecreaseCertificate | None = None
-    t = 0.0
-    taus = [t]
-    states = [w.copy()]
-    steps: list[float] = []
+    residual = math.nan
 
-    def result(k: int, res: float) -> NlpResult:
-        traj = None
-        if record:
-            traj = HybridTrajectory(tau=np.array(taus),
-                                    states=np.array(states),
-                                    steps=np.array(steps))
-        return NlpResult(w=w, iterations=k, residual=res,
-                         certified=certified, v_history=tuple(v_hist),
-                         trajectory=traj)
+    def converged(w: Array) -> bool:
+        nonlocal residual
+        residual = float(np.linalg.norm(flow.field(w)))
+        return residual < tol
 
-    for k in range(_NLP_MAX_ITER):
-        fw = flow.field(w)
-        res = float(np.linalg.norm(fw))
-        if res < tol:
-            return result(k, res)
+    def controller(w: Array, tau: float):
+        nonlocal certified
         p = nlp_hessian_bound(flow, w, r)
         if p <= 0:
             raise ConfigurationError("Hessian bound must be positive")
@@ -493,17 +480,18 @@ def nlp_solve(
         if not cert.accepted:
             cert = halving_controller(flow.lyap, EULER, flow.field, w, h, lam)
             certified = False
-            h = cert.h
-        last_cert = cert
-        w = cert.x_next  # w + h * fw, as the decrease test computed it
-        v_hist.append(cert.lhs)
-        if record:
-            t = t + h
-            taus.append(t)
-            states.append(w.copy())
-            steps.append(h)
-    raise ControllerError(
-        f"no convergence in {_NLP_MAX_ITER} iterations; last residual "
-        f"{float(np.linalg.norm(flow.field(w))):.3e}, last certificate "
-        f"{last_cert}"
-    )
+        return cert.h, cert
+
+    v0 = flow.lyap(np.asarray(w0, dtype=float))
+    traj = advance(EULER, flow.field, controller, w0, math.inf,
+                   max_steps=_NLP_MAX_ITER, stop=converged)
+    if not residual < tol:
+        last = traj.certificates[-1] if traj.certificates else None
+        raise ControllerError(
+            f"no convergence in {_NLP_MAX_ITER} iterations; last residual "
+            f"{residual:.3e}, last certificate {last}"
+        )
+    return NlpResult(w=traj.final_state, iterations=traj.steps.size,
+                     residual=residual, certified=certified,
+                     v_history=(v0,) + tuple(c.lhs for c in traj.certificates),
+                     trajectory=traj)

@@ -227,7 +227,7 @@ def _run_nlp_qp(params, out, rng):
     tol = float(params["tol"])
     flow = nlp_flow(quadratic_objective(np.eye(2), np.zeros(2)),
                     np.array([[1.0, 1.0]]), np.array([1.0]))
-    res = nlp_solve(flow, np.zeros(3), lam=lam, r=1.0, tol=tol, record=True)
+    res = nlp_solve(flow, np.zeros(3), lam=lam, r=1.0, tol=tol)
     _write_standard(res.trajectory, out, "nlp-qp")
     dist = float(np.linalg.norm(res.w - flow.kkt_point))
     return (f"iterations={res.iterations} residual={res.residual:.3e} "

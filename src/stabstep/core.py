@@ -163,10 +163,12 @@ TABLEAUS = {
 # ---------------------------------------------------------------------------
 # configuration records
 
+_NORM_FLOOR = 1e-14  # a state this small counts as the origin
+
 
 @dataclass(frozen=True)
 class StepBoundConfig:
-    """Knobs for state-dependent step bounds and trajectory termination.
+    """Knobs for state-dependent step bounds and realized steps.
 
     r is the hard step cap, lambda_ball the ball fraction in (0, 1) used by
     the default bound and by numeric Lipschitz estimation, u_input an optional
@@ -176,7 +178,6 @@ class StepBoundConfig:
     r: float = 1.0
     lambda_ball: float = 0.5
     u_input: Optional[Callable[[float], float]] = None
-    norm_floor: float = 1e-14
 
     def __post_init__(self):
         if not self.r > 0:
@@ -346,7 +347,7 @@ def default_phi(
         return cfg.r
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
-    if nx < cfg.norm_floor:
+    if nx < _NORM_FLOOR:
         return cfg.r
     lip = _lipschitz_at(field, x, cfg)
     grow = _gamma_at(field, nx)
@@ -486,10 +487,14 @@ def advance(
     t_end: float,
     cfg: Optional[StepBoundConfig] = None,
     max_steps: Optional[int] = None,
+    stop: Optional[Callable[[Array], bool]] = None,
 ) -> HybridTrajectory:
-    """Run the hybrid stepping loop until t_end, a norm floor, or max_steps.
+    """Run the hybrid stepping loop until t_end, the stop rule, or max_steps.
 
-    The controller is called as controller(x, tau) and returns either a base
+    At each node, after checking that the state is finite and tau < t_end,
+    stop(x) is asked whether the run is done; without a stop rule the run
+    ends once |x| < 1e-14.  Then max_steps is checked, and only then is the
+    controller called, as controller(x, tau).  It returns either a base
     step or a (base step, certificate) pair.  When cfg.u_input is set the
     realized step is base * exp(-u(tau)).  A non-finite state raises
     FloatingPointError rather than ending the run as if it had converged.
@@ -514,7 +519,7 @@ def advance(
         nx = float(np.linalg.norm(x))
         if not math.isfinite(nx):
             raise FloatingPointError(f"non-finite state at tau={tau}")
-        if not tau < t_end or nx < cfg.norm_floor:
+        if not tau < t_end or (nx < _NORM_FLOOR if stop is None else stop(x)):
             break
         if max_steps is not None and len(steps) >= max_steps:
             break

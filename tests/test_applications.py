@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stabstep.core import ControllerError, EULER, advance, ConstantController
-from stabstep.lyapunov import decrease_test
+from stabstep import applications
+from stabstep.lyapunov import certify_trajectory, decrease_test
 from stabstep.applications import (
     STIFF_A,
     STIFF_P,
@@ -212,8 +213,42 @@ class TestNlpFlow:
 
     def test_start_at_solution_needs_no_iterations(self):
         flow = self.pinned()
-        res = nlp_solve(flow, np.array([0.5, 0.5, -0.5]), tol=1e-10)
+        w0 = np.array([0.5, 0.5, -0.5])
+        res = nlp_solve(flow, w0, tol=1e-10)
         assert res.iterations == 0
+        assert res.trajectory.steps.size == 0
+        assert res.v_history == (flow.lyap(w0),)
+
+    def test_trajectory_passes_the_reaudit(self):
+        # the pinned QP and one random QP drawn as criterion 9 draws them
+        rng = np.random.default_rng(5)
+        basis = rng.standard_normal((3, 3))
+        obj = quadratic_objective(basis.T @ basis + np.eye(3),
+                                  rng.standard_normal(3))
+        random_qp = nlp_flow(obj, rng.standard_normal((1, 3)),
+                             rng.standard_normal(1))
+        for flow, w0 in ((self.pinned(), np.zeros(3)),
+                         (random_qp, np.zeros(4))):
+            res = nlp_solve(flow, w0, lam=0.5, tol=1e-7)
+            traj = res.trajectory
+            assert len(traj.certificates) == traj.steps.size == res.iterations
+            report = certify_trajectory(flow.lyap, traj, 0.5, field=flow.field)
+            assert report.ok
+            assert all(row[4] for row in report.rows)
+            np.testing.assert_array_equal(traj.final_state, res.w)
+            assert res.v_history[1:] == tuple(
+                c.lhs for c in traj.certificates)
+
+    def test_nan_start_raises(self):
+        flow = self.pinned()
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="tau=0.0"):
+            nlp_solve(flow, np.array([np.nan, 0.0, 0.0]), tol=1e-7)
+
+    def test_iteration_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(applications, "_NLP_MAX_ITER", 3)
+        with pytest.raises(ControllerError, match="no convergence in 3"):
+            nlp_solve(self.pinned(), np.zeros(3), tol=1e-7)
 
     def test_split_separates_primal_and_dual(self):
         # w stacks the n primal entries over the m dual ones

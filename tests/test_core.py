@@ -226,11 +226,41 @@ class TestAdvance:
 
     def test_stops_at_norm_floor(self):
         f = scalar_decay()
-        cfg = StepBoundConfig(r=1.0, norm_floor=1e-6)
         traj = advance(EULER, f, ConstantController(0.5), np.array([1.0]),
-                       t_end=math.inf, max_steps=10_000, cfg=cfg)
+                       t_end=math.inf, max_steps=10_000,
+                       stop=lambda x: np.linalg.norm(x) < 1e-6)
         assert np.linalg.norm(traj.final_state) < 1e-6
         assert traj.steps.size < 100
+
+    def test_default_stop_is_the_norm_floor(self):
+        # Euler with h = 1/2 halves the state exactly: 2^-47 is the first
+        # power of two below 1e-14
+        f = scalar_decay()
+        traj = advance(EULER, f, ConstantController(0.5), np.array([1.0]),
+                       t_end=math.inf, max_steps=10_000)
+        assert traj.final_state[0] == 2.0 ** -47
+        assert traj.steps.size == 47
+
+    def test_custom_stop_replaces_the_norm_floor(self):
+        # from the origin the default floor stops at once; a stop rule
+        # that ignores |x| lets the run take its steps
+        f = scalar_decay()
+        x0 = np.array([0.0])
+        assert advance(EULER, f, ConstantController(0.5), x0,
+                       t_end=math.inf).steps.size == 0
+        traj = advance(EULER, f, ConstantController(0.5), x0, t_end=math.inf,
+                       max_steps=5, stop=lambda x: False)
+        assert traj.steps.size == 5
+        np.testing.assert_array_equal(traj.tau, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+
+    def test_stop_at_start_never_calls_the_controller(self):
+        def controller(x, tau):
+            raise AssertionError("controller called")
+
+        traj = advance(EULER, scalar_decay(), controller, np.array([1.0]),
+                       t_end=math.inf, stop=lambda x: True)
+        assert traj.steps.size == 0
+        np.testing.assert_array_equal(traj.states, [[1.0]])
 
     def test_rejects_nonpositive_step(self):
         f = scalar_decay()

@@ -44,3 +44,13 @@ def test_public_names_resolve_and_none_is_a_module():
     assert len(stabstep.__all__) == len(set(stabstep.__all__))
     for name in stabstep.__all__:
         assert not isinstance(getattr(stabstep, name), types.ModuleType), name
+
+
+def test_global_error_submodule_is_not_shadowed():
+    # the package must not re-export the function under the module's name
+    proc = run_python("import types\n"
+                      "import stabstep.global_error as G\n"
+                      "assert isinstance(G, types.ModuleType), G\n"
+                      "print(G.compliant_steps.__name__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "compliant_steps"
