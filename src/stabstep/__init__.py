@@ -83,7 +83,6 @@ from .global_error import (
     error_budget_step,
     error_report,
     estimate_increment_lipschitz,
-    euler_budget_step,
     order_reduction_exponent,
 )
 from .applications import (
@@ -144,8 +143,7 @@ __all__ = [
     # global_error
     "ErrorBudget", "ErrorReport", "compliant_steps", "defect", "defect_orders",
     "error_bound", "error_bound_finite_time", "error_budget_step",
-    "error_report", "estimate_increment_lipschitz", "euler_budget_step",
-    "order_reduction_exponent",
+    "error_report", "estimate_increment_lipschitz", "order_reduction_exponent",
     # applications
     "ConvexObjective", "ExampleSystem", "NlpFlow", "NlpResult", "STIFF_A",
     "STIFF_P", "SWEEP_TABLEAUS", "boundary_sweep", "euler_f2_limit_radius",

@@ -20,6 +20,7 @@ from .core import (
     ConstantController,
     EULER,
     HEUN,
+    IMPLICIT_EULER,
     KUTTA3,
     advance,
     linear_field,
@@ -155,13 +156,13 @@ def _check_limit_cycle(tol, rng):
                      f"{tol.decay_steps} steps "
                      f"({'<' if good else 'NOT <'} {tol.decay_target})")
 
-    x = x0.copy()
-    hit = None
-    for k in range(1, tol.implicit_steps + 1):
-        x = implicit_euler_step(systems["f2"].field, x, 0.2)
-        if float(np.linalg.norm(x)) < tol.implicit_target:
-            hit = k
-            break
+    def below(x):
+        return float(np.linalg.norm(x)) < tol.implicit_target
+
+    traj = advance(IMPLICIT_EULER, systems["f2"].field,
+                   ConstantController(0.2), x0, math.inf,
+                   max_steps=tol.implicit_steps, stop=below)
+    hit = traj.steps.size if below(traj.final_state) else None
     ok_impl = hit is not None
     notes.append(f"f2 implicit |x| < {tol.implicit_target} at step {hit}"
                  if ok_impl else

@@ -8,8 +8,9 @@ Usage:
 
 Exit codes: 0 success, 1 experiment or criterion failure, 2 usage error.
 Config files are flat INI: each section names an experiment and its keys
-override that experiment's defaults; a [global] section may set out/seed;
-an [acceptance] section overrides verify tolerances.
+override that experiment's defaults; a [global] section may set out/seed,
+which --out/--seed override; an [acceptance] section overrides verify
+tolerances.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     EULER,
     HEUN,
     HybridTrajectory,
+    IMPLICIT_EULER,
     advance,
     linear_field,
     write_csv,
@@ -40,7 +42,6 @@ from .lyapunov import (
     certify_trajectory,
     quadratic_lyapunov,
 )
-from .implicit import implicit_euler_step
 from .smallgain import advance_chain, advection_chain, chain_decay_trials, \
     iss_estimate_check, write_chain_csv, write_grid_csv
 from .global_error import ErrorBudget, compliant_steps, defect_orders, \
@@ -104,12 +105,16 @@ def _constant_run(key: str, tableau, params, out, rng, name: str) -> tuple:
     return system, traj
 
 
+def _first_below(norms, level: float) -> int:
+    below = np.nonzero(norms < level)[0]
+    return int(below[0]) if below.size else -1
+
+
 def _run_f1_euler(params, out, rng):
     _, traj = _constant_run("f1", EULER, params, out, rng, "f1-euler")
     norms = np.linalg.norm(traj.states, axis=1)
-    below = np.nonzero(norms < 1e-6)[0]
-    first = int(below[0]) if below.size else -1
-    return (f"final_norm={norms[-1]:.6e} first_below_1e-6={first} "
+    return (f"final_norm={norms[-1]:.6e} "
+            f"first_below_1e-6={_first_below(norms, 1e-6)} "
             f"certificate=none")
 
 
@@ -138,26 +143,11 @@ def _run_f2_heun(params, out, rng):
 
 
 def _run_f2_implicit(params, out, rng):
-    system = example_fields()["f2"]
-    h = float(params["h"])
-    n = int(params["steps"])
-    x = np.array([1.0, 0.0])
-    t = 0.0
-    taus, states, steps = [t], [x.copy()], []
-    first = -1
-    for k in range(1, n + 1):
-        x = implicit_euler_step(system.field, x, h)
-        t = t + h
-        taus.append(t)
-        states.append(x.copy())
-        steps.append(h)
-        if first < 0 and float(np.linalg.norm(x)) < 1e-8:
-            first = k
-    traj = HybridTrajectory(tau=np.array(taus), states=np.array(states),
-                            steps=np.array(steps))
-    _write_standard(traj, out, "f2-implicit")
-    return (f"final_norm={float(np.linalg.norm(x)):.3e} "
-            f"first_below_1e-8={first} certificate=none")
+    _, traj = _constant_run("f2", IMPLICIT_EULER, params, out, rng,
+                            "f2-implicit")
+    norms = np.linalg.norm(traj.states, axis=1)
+    return (f"final_norm={norms[-1]:.3e} "
+            f"first_below_1e-8={_first_below(norms, 1e-8)} certificate=none")
 
 
 def _run_boundary(params, out, rng):
@@ -371,18 +361,14 @@ def _cmd_run(args, extra: list[str]) -> int:
         return 0
 
     jobs: list[tuple[Experiment, dict]] = []
-    out = Path(args.out)
-    seed = args.seed
+    settings = {}  # [global] out/seed, which an explicit flag overrides
     if args.config:
         parser = _load_config(args.config)
         for section in parser.sections():
             if section == "acceptance":
                 continue
             if section == "global":
-                if "out" in parser[section] and args.out == "out":
-                    out = Path(parser[section]["out"])
-                if "seed" in parser[section] and args.seed == _DEFAULT_SEED:
-                    seed = int(parser[section]["seed"])
+                settings = parser[section]
                 continue
             if section not in _BY_NAME:
                 raise UsageError(f"unknown experiment in config: {section}")
@@ -405,6 +391,9 @@ def _cmd_run(args, extra: list[str]) -> int:
     if not jobs:
         print("nothing selected")
         return 0
+    out = Path(settings.get("out", "out") if args.out is None else args.out)
+    seed = (int(settings.get("seed", _DEFAULT_SEED)) if args.seed is None
+            else args.seed)
 
     failures = 0
     for exp, overrides in jobs:
@@ -453,9 +442,10 @@ def main(argv=None) -> int:
     run_p.add_argument("--list", action="store_true",
                        help="print the experiment catalog")
     run_p.add_argument("--config", help="INI file of experiment sections")
-    run_p.add_argument("--out", default="out", help="output directory")
-    run_p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
-                       help="64-bit seed, split per experiment")
+    run_p.add_argument("--out", help="output directory (default out)")
+    run_p.add_argument("--seed", type=int,
+                       help=f"64-bit seed, split per experiment "
+                            f"(default {_DEFAULT_SEED})")
 
     ver_p = sub.add_parser("verify", help="run the acceptance suite")
     ver_p.add_argument("--filter", help="criterion number or name substring")

@@ -80,12 +80,9 @@ def error_bound_finite_time(budget: ErrorBudget, d_i: float, tau: float) -> floa
     return (d_i / big_l) * math.expm1(big_l * tau)
 
 
-def error_bound(budget: ErrorBudget, d_i: float, tau: float | None = None) -> float:
-    """Horizon-free bound (D/L)^{ls/(ls+L)} (2a(|x0|))^{L/(ls+L)}.
-
-    tau is accepted for signature symmetry but unused: the bound holds
-    uniformly in time.
-    """
+def error_bound(budget: ErrorBudget, d_i: float) -> float:
+    """Horizon-free bound (D/L)^{ls/(ls+L)} (2a(|x0|))^{L/(ls+L)}, which
+    holds uniformly in time."""
     if d_i < 0:
         raise ConfigurationError("defect supremum must be nonnegative")
     if d_i == 0.0:
@@ -119,26 +116,6 @@ def error_budget_step(budget: ErrorBudget, tau_i: float, phi_at_x: float) -> flo
     rule = ((2.0 * big_l / big_k) ** (1.0 / p)
             * math.exp(budget.sigma * tau_i / p)
             * ratio ** expo)
-    return min(rule, phi_at_x)
-
-
-def euler_budget_step(budget: ErrorBudget, tau_i: float, phi_at_x: float) -> float:
-    """The first-order instance (4/L) e^{sigma tau} (2a(|x0|)/eps)^{-(q+lam)/lam}.
-
-    Requires p = 1; coincides with error_budget_step when K = L^2/2, the
-    defect constant the first-order derivation produces.
-    """
-    if budget.p != 1:
-        raise ConfigurationError("the first-order rule needs p = 1")
-    if phi_at_x <= 0:
-        raise ConfigurationError("phi cap must be positive")
-    big_l = budget.l_of_x0
-    ratio = 2.0 * float(budget.a_gain(budget.x0_norm)) / budget.epsilon
-    if ratio <= 0.0:
-        return phi_at_x
-    rule = ((4.0 / big_l)
-            * math.exp(budget.sigma * tau_i)
-            * ratio ** (-(budget.q + budget.lam) / budget.lam))
     return min(rule, phi_at_x)
 
 

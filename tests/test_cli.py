@@ -86,6 +86,26 @@ def test_config_file_drives_runs(tmp_path, capsys):
     assert (out_dir / "advection-chain.csv").exists()
 
 
+def test_explicit_flags_override_config_global(tmp_path, capsys,
+                                              monkeypatch):
+    # flag, then [global], then default; a flag equal to its default
+    # still counts as given
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[global]\nout = results\nseed = 11\n\n"
+                   "[error-budget]\nt_end = 1.0\n")
+    csv = "error-budget-report.csv"
+    assert run_cli(["run", "error-budget", "--t_end", "1.0",
+                    "--out", "ref"], capsys)[0] == 0
+    assert run_cli(["run", "--config", str(cfg)], capsys)[0] == 0
+    assert (tmp_path / "results" / csv).read_bytes() \
+        != (tmp_path / "ref" / csv).read_bytes()
+    assert run_cli(["run", "--config", str(cfg), "--out", "out",
+                    "--seed", "20240501"], capsys)[0] == 0
+    assert (tmp_path / "out" / csv).read_bytes() \
+        == (tmp_path / "ref" / csv).read_bytes()
+
+
 def test_config_with_unknown_section_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[no-such-experiment]\nfoo = 1\n")

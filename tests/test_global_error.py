@@ -25,7 +25,6 @@ from stabstep.global_error import (
     error_budget_step,
     error_report,
     estimate_increment_lipschitz,
-    euler_budget_step,
     global_error,
     order_reduction_exponent,
 )
@@ -105,32 +104,38 @@ class TestAsymptoticBound:
 
 
 class TestBudgetStepRule:
+    """unit_budget is first order with K = L^2/2, where the generic rule is
+    (4/L) e^{sigma tau} (2 a(|x0|)/eps)^{-(q+lam)/lam}."""
+
     def test_euler_value_at_start(self):
         # 4/L * (2 a(1)/eps)^{-(q+lam)/lam} with q = 1, lam = 1/2: 4/20^3
         budget = unit_budget(epsilon=0.1, lam=0.5)
-        h = euler_budget_step(budget, 0.0, phi_at_x=1e9)
+        h = error_budget_step(budget, 0.0, phi_at_x=1e9)
         assert h == pytest.approx(5e-4, rel=1e-12)
 
     def test_grows_exponentially_then_caps(self):
         budget = unit_budget(epsilon=0.1, lam=0.5)
         tau = math.log(1000.0)
-        assert euler_budget_step(budget, tau, phi_at_x=1e9) \
+        assert error_budget_step(budget, tau, phi_at_x=1e9) \
             == pytest.approx(0.5, rel=1e-12)
-        assert euler_budget_step(budget, tau, phi_at_x=0.1) == 0.1
+        assert error_budget_step(budget, tau, phi_at_x=0.1) == 0.1
 
     def test_loose_epsilon_defers_to_phi(self):
         budget = unit_budget(epsilon=math.inf)
-        assert euler_budget_step(budget, 0.0, phi_at_x=0.7) == 0.7
+        assert error_budget_step(budget, 0.0, phi_at_x=0.7) == 0.7
 
     def test_general_rule_matches_euler_instance(self):
         # first order with K = L^2/2 collapses the generic constant to 4/L
-        budget = ErrorBudget(epsilon=0.05, sigma=1.3, lam=0.4,
-                             a_gain=lambda s: 2.0 * s, l_of_x0=0.8,
-                             k_of_x0=0.8 ** 2 / 2.0, p=1, x0_norm=1.5)
+        big_l, sigma, lam, eps, a0 = 0.8, 1.3, 0.4, 0.05, 2.0 * 1.5
+        budget = ErrorBudget(epsilon=eps, sigma=sigma, lam=lam,
+                             a_gain=lambda s: 2.0 * s, l_of_x0=big_l,
+                             k_of_x0=big_l ** 2 / 2.0, p=1, x0_norm=1.5)
+        q = big_l / sigma
         for tau in (0.0, 1.0, 3.7):
+            closed = ((4.0 / big_l) * math.exp(sigma * tau)
+                      * (2.0 * a0 / eps) ** (-(q + lam) / lam))
             assert error_budget_step(budget, tau, 1e9) \
-                == pytest.approx(euler_budget_step(budget, tau, 1e9),
-                                 rel=1e-12)
+                == pytest.approx(closed, rel=1e-12)
 
     def test_order_reduction_exponent(self):
         budget = unit_budget(lam=0.5)
@@ -145,7 +150,7 @@ class TestCompliantSteps:
         steps = compliant_steps(budget, 1.0, 15.0, rng)
         taus = np.concatenate([[0.0], np.cumsum(steps)])
         for i, h in enumerate(steps):
-            cap = euler_budget_step(budget, float(taus[i]), 1.0)
+            cap = error_budget_step(budget, float(taus[i]), 1.0)
             assert h <= cap * (1.0 + 1e-12)
 
     def test_covers_the_horizon(self):

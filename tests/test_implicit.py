@@ -1,16 +1,25 @@
 """Implicit Euler: direct solves, Newton, convex decrease, gradient flows."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from stabstep import core
 from stabstep.core import (
     ConfigurationError,
+    ConstantController,
+    HybridTrajectory,
     IMPLICIT_EULER,
     StageSolveError,
     StepBoundConfig,
     VectorField,
+    advance,
     default_phi,
     linear_field,
+    rk_increment,
 )
 from stabstep.implicit import (
     check_midpoint_convexity,
@@ -18,7 +27,11 @@ from stabstep.implicit import (
     gradient_system_field,
     implicit_euler_step,
 )
-from stabstep.lyapunov import LyapunovFunction, quadratic_lyapunov
+from stabstep.lyapunov import (
+    LyapunovFunction,
+    decrease_test,
+    quadratic_lyapunov,
+)
 from stabstep.applications import example_fields
 
 M1 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
@@ -104,14 +117,57 @@ def test_newton_step_accepted_at_large_h(h):
 
 @pytest.mark.parametrize("h", [1.0, 1e3])
 def test_perturbed_increment_still_rejected(monkeypatch, h):
-    import stabstep.implicit as implicit
+    # The rebuilt-state check lives in the stage solve, so a bad increment
+    # is refused on every path that takes an implicit Euler step.
+    real = core._check_rebuilt_state
 
-    real = implicit.rk_increment
-    monkeypatch.setattr(implicit, "rk_increment",
-                        lambda *args: real(*args) + 1e-6)
-    f = gradient_system_field(quadratic_lyapunov(np.eye(2) / 2), 2)
-    with pytest.raises(StageSolveError):
-        implicit_euler_step(f, np.array([1.0, 1.0]), h)
+    def perturbed(field, x, step, incr):
+        return real(field, x, step, incr + 1e-6)
+
+    monkeypatch.setattr(core, "_check_rebuilt_state", perturbed)
+    lyap = quadratic_lyapunov(np.eye(2) / 2)
+    f = gradient_system_field(lyap, 2)
+    x = np.array([1.0, 1.0])
+    with pytest.raises(StageSolveError, match="implicit step residual") as exc:
+        implicit_euler_step(f, x, h)
+    with pytest.raises(StageSolveError, match="implicit step residual"):
+        advance(IMPLICIT_EULER, f, ConstantController(h), x, math.inf,
+                max_steps=1)
+    cert = decrease_test(lyap, IMPLICIT_EULER, f, x, h, 0.5)
+    assert cert.accepted is False
+    assert cert.reason == str(exc.value)
+
+
+def _f2_implicit_loop(system, params):
+    """The hand-written f2-implicit loop that `advance` replaced."""
+    h = float(params["h"])
+    n = int(params["steps"])
+    x = np.array([1.0, 0.0])
+    t = 0.0
+    taus, states, steps = [t], [x.copy()], []
+    first = -1
+    for k in range(1, n + 1):
+        x = implicit_euler_step(system.field, x, h)
+        t = t + h
+        taus.append(t)
+        states.append(x.copy())
+        steps.append(h)
+        if first < 0 and float(np.linalg.norm(x)) < 1e-8:
+            first = k
+    traj = HybridTrajectory(tau=np.array(taus), states=np.array(states),
+                            steps=np.array(steps))
+    return traj, first
+
+
+def test_advance_reproduces_the_f2_implicit_loop():
+    system = example_fields()["f2"]
+    ref, first = _f2_implicit_loop(system, {"h": 0.2, "steps": 2000})
+    traj = advance(IMPLICIT_EULER, system.field, ConstantController(0.2),
+                   np.array([1.0, 0.0]), math.inf, max_steps=2000)
+    assert traj.steps.size == 2000 and first == 881
+    assert np.array_equal(traj.tau, ref.tau)
+    assert np.array_equal(traj.states, ref.states)
+    assert np.array_equal(traj.steps, ref.steps)
 
 
 def test_cubic_damping_rescue_reaches_1e8():
@@ -126,6 +182,35 @@ def test_cubic_damping_rescue_reaches_1e8():
             break
     assert hit is not None
     assert hit == 881
+
+
+@st.composite
+def hurwitz_steps(draw):
+    """(A, x, h): a Hurwitz A with abscissa in [-1.5, -0.25], x != 0 and
+    h in [1e-3, 1e4]."""
+    dim = draw(st.integers(1, 4))
+    m = draw(hnp.arrays(np.float64, (dim, dim),
+                        elements=st.floats(-1.0, 1.0)))
+    margin = draw(st.floats(0.25, 1.5))
+    x = draw(hnp.arrays(np.float64, dim, elements=st.floats(-10.0, 10.0)))
+    assume(float(np.linalg.norm(x)) > 1e-3)
+    a = m - (float(np.max(np.linalg.eigvals(m).real)) + margin) * np.eye(dim)
+    return a, x, draw(st.floats(1e-3, 1e4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(hurwitz_steps())
+def test_linear_fields_need_no_rebuilt_state_check(problem):
+    """The exemption of f = Ax from the check in `rk_increment` loses
+    nothing: the direct solve meets the plain bound 1e-11 (1 + |x|), and
+    the state rebuilt from the Newton stage passes the check."""
+    a, x, h = problem
+    f = linear_field(a)
+    scale = 1.0 + float(np.linalg.norm(x))
+    y = implicit_euler_step(f, x, h)
+    assert np.linalg.norm(y - x - h * f(y)) <= 10.0 * core._STAGE_TOL * scale
+    incr = rk_increment(IMPLICIT_EULER, f, x, h)
+    core._check_rebuilt_state(f, x, h, incr)
 
 
 def implicit_phi(field, x, lam, r):
