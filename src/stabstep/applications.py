@@ -163,7 +163,7 @@ def stiff_experiment(
     x0: tuple[float, float] = (1.0, 1.1),
     n_steps: int = 500,
 ) -> tuple[HybridTrajectory, float]:
-    """Explicit Euler on the stiff pair with h = phi(x) exactly.
+    """Explicit Euler on the stiff pair with h = phi(x) exactly, on advance.
 
     n_steps counts the recorded states including the initial one, so
     n_steps - 1 Euler updates are performed; the returned time is the
@@ -174,20 +174,14 @@ def stiff_experiment(
     x1, x2 = float(x0[0]), float(x0[1])
     if x1 == 0.0 and x2 == 0.0:
         raise ConfigurationError("x0 must be nonzero")
-    t = 0.0
-    taus = [t]
-    states = [(x1, x2)]
-    steps = []
-    for _ in range(n_steps - 1):
-        h = stiff_phi(x1, x2, lam, r)
-        x1, x2 = x1 - (h * 1000.0) * x1, x2 + h * (x1 - x2)
-        t = t + h
-        taus.append(t)
-        states.append((x1, x2))
-        steps.append(h)
-    traj = HybridTrajectory(
-        tau=np.array(taus), states=np.array(states), steps=np.array(steps)
-    )
+
+    def euler(x, h):  # the update on floats, in this order
+        x1, x2 = x.tolist()
+        return np.array([x1 - (h * 1000.0) * x1, x2 + h * (x1 - x2)])
+
+    traj = advance(euler, None, lambda x, tau: stiff_phi(*x.tolist(), lam, r),
+                   np.array([x1, x2]), math.inf,
+                   max_steps=n_steps - 1, stop=lambda x: False)
     return traj, traj.final_time
 
 

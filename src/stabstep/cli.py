@@ -363,6 +363,8 @@ def _cmd_run(args, extra: list[str]) -> int:
     jobs: list[tuple[Experiment, dict]] = []
     settings = {}  # [global] out/seed, which an explicit flag overrides
     if args.config:
+        if args.name:
+            raise UsageError(f"give {args.name!r} or --config, not both")
         parser = _load_config(args.config)
         for section in parser.sections():
             if section == "acceptance":
@@ -388,12 +390,16 @@ def _cmd_run(args, extra: list[str]) -> int:
                              f"(known: {known})")
         jobs.append((_BY_NAME[args.name], _parse_overrides(extra)))
 
+    out = Path(settings.get("out", "out") if args.out is None else args.out)
+    try:
+        seed = (int(settings.get("seed", _DEFAULT_SEED)) if args.seed is None
+                else args.seed)
+    except ValueError:
+        raise UsageError(f"[global] seed must be an integer, got "
+                         f"{settings['seed']!r}") from None
     if not jobs:
         print("nothing selected")
         return 0
-    out = Path(settings.get("out", "out") if args.out is None else args.out)
-    seed = (int(settings.get("seed", _DEFAULT_SEED)) if args.seed is None
-            else args.seed)
 
     failures = 0
     for exp, overrides in jobs:

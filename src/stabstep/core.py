@@ -516,8 +516,8 @@ class ConstantController:
 
 
 def advance(
-    tableau: ButcherTableau,
-    field: VectorField,
+    scheme: ButcherTableau | Callable[[Array, float], Array],
+    field: Optional[VectorField],
     controller,
     x0: Array,
     t_end: float,
@@ -526,6 +526,9 @@ def advance(
     stop: Optional[Callable[[Array], bool]] = None,
 ) -> HybridTrajectory:
     """Run the hybrid stepping loop until t_end, the stop rule, or max_steps.
+
+    The scheme is a ButcherTableau, stepped as x + h * rk_increment(scheme,
+    field, x, h), or a callable step(x, h) -> x_next, with field unused.
 
     At each node, after checking that the state is finite and tau < t_end,
     stop(x) is asked whether the run is done; without a stop rule the run
@@ -537,11 +540,11 @@ def advance(
 
     A certificate that carries the state it tested (`x_next`, as
     lyapunov.decrease_test records it) is taken as the next state, without
-    evaluating the increment again, only when it tested this very step:
-    the same `x` object, the same realized h, and the same tableau and
-    field objects as this call.  Otherwise, for instance when u_input
-    shrinks the step, the increment is evaluated here.  Both paths compute
-    x + h * F(h, x) from the same operands, so the states are bit-identical.
+    stepping again, only when it tested this very step: the same `x`
+    object, the same realized h, and the same tableau and field objects as
+    this call.  Otherwise, for instance when u_input shrinks the step, the
+    scheme steps here.  Both paths compute x + h * F(h, x) from the same
+    operands, so the states are bit-identical.
     """
     cfg = cfg or StepBoundConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -552,19 +555,15 @@ def advance(
     certs: list = []
 
     while True:
-        nx = float(np.linalg.norm(x))
-        if not math.isfinite(nx):
+        nx = float(np.linalg.norm(x))  # inf when |x|^2 overflows
+        if not math.isfinite(nx) and not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state at tau={tau}")
         if not tau < t_end or (nx < _NORM_FLOOR if stop is None else stop(x)):
             break
         if max_steps is not None and len(steps) >= max_steps:
             break
         out = controller(x, tau)
-        cert = None
-        if isinstance(out, tuple):
-            h_base, cert = out
-        else:
-            h_base = out
+        h_base, cert = out if isinstance(out, tuple) else (out, None)
         h_base = float(h_base)
         if not h_base > 0 or not math.isfinite(h_base):
             raise ControllerError(f"controller proposed step {h_base} at tau={tau}")
@@ -573,9 +572,10 @@ def advance(
             h = h_base * math.exp(-float(cfg.u_input(tau)))
         x_next = getattr(cert, "x_next", None)
         if x_next is None or not (cert.x is x and cert.h == h
-                                  and cert.tableau is tableau
+                                  and cert.tableau is scheme
                                   and cert.field is field):
-            x_next = x + h * rk_increment(tableau, field, x, h)
+            x_next = (scheme(x, h) if callable(scheme)
+                      else x + h * rk_increment(scheme, field, x, h))
         x = x_next
         tau = tau + h
         taus.append(tau)

@@ -1,4 +1,4 @@
-"""Partitioned stepping for cascade systems and the advection chain.
+"""Partitioned stepping, on core.advance, for cascades and the advection chain.
 
 Each chain node is advanced by the semi-implicit closed form
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     ConfigurationError,
     HybridTrajectory,
     _node_rows,
+    advance,
     write_csv,
 )
 
@@ -68,20 +70,14 @@ def partitioned_step(sys: CascadeSystem, x: Array, h: float) -> Array:
 def advance_chain(
     sys: CascadeSystem, x0: Array, steps: Sequence[float]
 ) -> HybridTrajectory:
-    """Apply partitioned_step once per given step."""
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (sys.n,):
+    """Apply partitioned_step once per given step, through core.advance."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (sys.n,):
         raise ConfigurationError("x0 must match the chain length")
-    steps = np.asarray(steps, dtype=float)
-    states = np.empty((steps.size + 1, sys.n))
-    states[0] = x
-    taus = np.empty(steps.size + 1)
-    taus[0] = 0.0
-    for k, h in enumerate(steps.tolist()):
-        x = partitioned_step(sys, x, h)
-        states[k + 1] = x
-        taus[k + 1] = taus[k] + h  # the additions the clock check repeats
-    return HybridTrajectory(tau=taus, states=states, steps=steps)
+    replay = iter(np.asarray(steps, dtype=float).tolist())
+    return advance(partial(partitioned_step, sys), None,
+                   lambda x, tau: next(replay), x0, math.inf,
+                   max_steps=len(steps), stop=lambda x: False)
 
 
 def chain_decay_trials(
@@ -91,11 +87,14 @@ def chain_decay_trials(
 
     Each run draws a chain of 5-20 nodes with a reaction term up to 70% of
     its transport and a random initial state, then steps it until the sup
-    norm drops below target, for at most cap steps.  Returns the number of
-    runs that never got there and the most steps any successful run took.
+    norm drops below target, for at most cap steps, drawing each step as it
+    goes.  Returns the number of runs that never got there (a non-finite
+    state counts as one) and the most steps any successful run took.
     """
     fails = 0
     worst = 0
+    draw = lambda x, tau: 10.0 * (1.0 - rng.random())
+    below = lambda x: float(np.max(np.abs(x))) < target
     for _ in range(runs):
         n = int(rng.integers(5, 21))
         c = float(rng.uniform(0.5, 2.0))
@@ -109,17 +108,16 @@ def chain_decay_trials(
         nrm = float(np.linalg.norm(x))
         if nrm > 0:
             x *= rng.uniform(0.1, 10.0) / nrm
-        reached = False
-        for k in range(cap):
-            x = partitioned_step(chain, x, 10.0 * (1.0 - rng.random()))
-            sup = float(np.max(np.abs(x)))  # NaN or inf if any entry is
-            if not math.isfinite(sup):
-                break
-            if sup < target:
-                reached = True
-                worst = max(worst, k + 1)
-                break
-        fails += 0 if reached else 1
+        try:
+            run = advance(partial(partitioned_step, chain), None, draw, x,
+                          math.inf, max_steps=cap, stop=below)
+        except FloatingPointError:
+            fails += 1
+            continue
+        if below(run.final_state):
+            worst = max(worst, run.steps.size)
+        else:
+            fails += 1
     return fails, worst
 
 

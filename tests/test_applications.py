@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stabstep.core import ControllerError, EULER, advance, ConstantController
+from stabstep.core import (ConfigurationError, ConstantController,
+                           ControllerError, EULER, HybridTrajectory, advance)
 from stabstep import applications
 from stabstep.lyapunov import certify_trajectory, decrease_test
 from stabstep.applications import (
@@ -153,6 +155,58 @@ class TestStiffPair:
         report = certify_trajectory(quadratic_lyapunov(STIFF_P), traj, 0.6,
                                     field=linear_field(STIFF_A))
         assert report.ok
+
+
+def _stiff_loop(lam, r=1.0, x0=(1.0, 1.1), n_steps=500):
+    """The hand loop stiff_experiment ran before it stepped through
+    core.advance, kept verbatim as a reference."""
+    if n_steps < 1:
+        raise ConfigurationError("n_steps must be at least 1")
+    x1, x2 = float(x0[0]), float(x0[1])
+    if x1 == 0.0 and x2 == 0.0:
+        raise ConfigurationError("x0 must be nonzero")
+    t = 0.0
+    taus = [t]
+    states = [(x1, x2)]
+    steps = []
+    for _ in range(n_steps - 1):
+        h = stiff_phi(x1, x2, lam, r)
+        x1, x2 = x1 - (h * 1000.0) * x1, x2 + h * (x1 - x2)
+        t = t + h
+        taus.append(t)
+        states.append((x1, x2))
+        steps.append(h)
+    traj = HybridTrajectory(
+        tau=np.array(taus), states=np.array(states), steps=np.array(steps)
+    )
+    return traj, traj.final_time
+
+
+def _run_or_error(run, *args):
+    """The run's nodes, steps and final time, or the type of its error."""
+    try:
+        traj, t_final = run(*args)
+    except Exception as exc:
+        return type(exc)
+    return (traj.tau.tolist(), traj.states.tolist(), traj.steps.tolist(),
+            t_final)
+
+
+_coordinate = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
+                        st.floats(-10.0, -1e-3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.01, 0.99), r=st.floats(1e-3, 10.0),
+       x0=st.tuples(_coordinate, _coordinate).filter(lambda x: any(x)),
+       n_steps=st.integers(1, 600))
+@example(lam=0.6, r=1.0, x0=(1.0, 1.1), n_steps=1)
+@example(lam=0.6, r=1.0, x0=(1.0, 1.1), n_steps=500)
+@example(lam=0.5, r=1.0, x0=(0.0, 1.0), n_steps=3)  # one step to the origin
+def test_stiff_experiment_matches_the_hand_loop(lam, r, x0, n_steps):
+    args = (lam, r, x0, n_steps)
+    assert (_run_or_error(stiff_experiment, *args)
+            == _run_or_error(_stiff_loop, *args))
 
 
 class TestBoundarySweep:

@@ -114,6 +114,29 @@ def test_config_with_unknown_section_exits_2(tmp_path, capsys):
     assert "no-such-experiment" in err
 
 
+def test_config_with_a_malformed_global_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[global]\nout = {tmp_path}\nseed = abc\n\n"
+                   "[advection]\nsteps = 2\n")
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "'abc'" in err
+    assert out == ""
+    cfg.write_text("[global]\nseed = abc\n")
+    assert run_cli(["run", "--config", str(cfg)], capsys)[0] == 2
+
+
+def test_name_with_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[global]\nout = {tmp_path}\n")
+    code, out, err = run_cli(["run", "halving-f1", "--config", str(cfg)],
+                             capsys)
+    assert code == 2
+    assert err.startswith("error:") and "halving-f1" in err
+    assert "nothing selected" not in out
+    assert not (tmp_path / "halving-f1-trajectory.csv").exists()
+
+
 def test_verify_single_criterion(capsys):
     code, out, _ = run_cli(["verify", "--filter", "1"], capsys)
     assert code == 0

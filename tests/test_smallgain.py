@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabstep.core import ConfigurationError
+from stabstep.core import ConfigurationError, ControllerError, HybridTrajectory
 from stabstep.smallgain import (
     CascadeSystem,
     IssCheckResult,
     advance_chain,
     advection_chain,
+    chain_decay_trials,
     iss_estimate_check,
     partitioned_step,
     sigma_constant,
@@ -87,6 +88,111 @@ class TestAdvanceChain:
         write_grid_csv(run, p2)
         assert p1.read_text().splitlines()[0] == "tau,h,x_1,x_2,x_3"
         assert p2.read_text().splitlines()[0] == "tau,z_index,value"
+
+
+# The hand loops that advance_chain and chain_decay_trials ran before they
+# stepped through core.advance, kept verbatim as references.
+
+def _advance_chain_loop(sys, x0, steps):
+    x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (sys.n,):
+        raise ConfigurationError("x0 must match the chain length")
+    steps = np.asarray(steps, dtype=float)
+    states = np.empty((steps.size + 1, sys.n))
+    states[0] = x
+    taus = np.empty(steps.size + 1)
+    taus[0] = 0.0
+    for k, h in enumerate(steps.tolist()):
+        x = partitioned_step(sys, x, h)
+        states[k + 1] = x
+        taus[k + 1] = taus[k] + h  # the additions the clock check repeats
+    return HybridTrajectory(tau=taus, states=states, steps=steps)
+
+
+def _chain_decay_trials_loop(rng, runs, cap, target):
+    fails = 0
+    worst = 0
+    for _ in range(runs):
+        n = int(rng.integers(5, 21))
+        c = float(rng.uniform(0.5, 2.0))
+        big_k = float(rng.uniform(0.0, 0.7)) * c * n
+        theta = float(rng.uniform(0.0, 3.0))
+        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        chain = advection_chain(
+            n, c, lambda y: big_k * math.cos(theta * y + phase), big_k, r=10.0
+        )
+        x = rng.uniform(-1.0, 1.0, size=n)
+        nrm = float(np.linalg.norm(x))
+        if nrm > 0:
+            x *= rng.uniform(0.1, 10.0) / nrm
+        reached = False
+        for k in range(cap):
+            x = partitioned_step(chain, x, 10.0 * (1.0 - rng.random()))
+            sup = float(np.max(np.abs(x)))  # NaN or inf if any entry is
+            if not math.isfinite(sup):
+                break
+            if sup < target:
+                reached = True
+                worst = max(worst, k + 1)
+                break
+        fails += 0 if reached else 1
+    return fails, worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), c=st.floats(0.1, 5.0),
+       k_frac=st.floats(0.0, 0.95), theta=st.floats(0.0, 3.0),
+       capped=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       n_steps=st.integers(0, 60), log_h=st.floats(-3.0, 1.0))
+def test_advance_chain_matches_the_hand_loop(n, c, k_frac, theta, capped,
+                                             seed, n_steps, log_h):
+    big_k = k_frac * c * n
+    chain = advection_chain(n, c, lambda y: big_k * math.cos(theta * y),
+                            big_k, r=10.0 if capped else None)
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-5.0, 5.0, size=n)
+    steps = np.minimum(10.0 ** log_h * (1.0 - rng.random(n_steps)), 10.0)
+    run = advance_chain(chain, x0, steps)
+    ref = _advance_chain_loop(chain, x0, steps)
+    for got, want in ((run.tau, ref.tau), (run.states, ref.states),
+                      (run.steps, ref.steps)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 3),
+       cap=st.integers(1, 300), log_target=st.floats(-9.0, -2.0))
+def test_chain_decay_trials_match_the_hand_loop(seed, runs, cap, log_target):
+    # Every initial sup is at least 0.1 / sqrt(20) > 1e-2, above any target
+    # drawn here: the hand loop stepped before its first test, advance tests
+    # the initial state too.
+    target = 10.0 ** log_target
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert (chain_decay_trials(rng, runs, cap, target)
+            == _chain_decay_trials_loop(ref_rng, runs, cap, target))
+    assert rng.random() == ref_rng.random()
+
+
+def _overflowing_chain():
+    """x_2 is driven by x_1 squared, which overflows from x_1 = 1e200."""
+    return CascadeSystem(n=2, l_bounds=(1.0, 1.0),
+                         a_vec=lambda x: np.ones(2),
+                         f_vec=lambda x: np.array([0.0, x[0] * x[0]]))
+
+
+def test_overflowing_chain_raises_naming_tau():
+    # |x0| overflows when squared, but x0 is finite and is recorded; the
+    # first step makes x_2 infinite
+    with np.errstate(over="ignore"), \
+            pytest.raises(FloatingPointError, match=r"tau=1\.0\b"):
+        advance_chain(_overflowing_chain(), np.array([1e200, 1.0]),
+                      np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+def test_nonpositive_chain_step_raises_controller_error(bad):
+    with pytest.raises(ControllerError, match=r"tau=0\.5\b"):
+        advance_chain(unit_chain(3), np.ones(3), [0.5, bad, 0.5])
 
 
 class TestSigmaConstant:
