@@ -111,7 +111,6 @@ from .acceptance import (
     AcceptanceTolerances,
     CRITERIA,
     CriterionResult,
-    override_tolerances,
     run_all,
     run_criterion,
 )
@@ -151,6 +150,6 @@ __all__ = [
     "nlp_solve", "quadratic_objective", "solve_kkt", "stiff_experiment",
     "stiff_phi", "write_steps_csv", "write_sweep_csv",
     # acceptance
-    "AcceptanceTolerances", "CRITERIA", "CriterionResult",
-    "override_tolerances", "run_all", "run_criterion",
+    "AcceptanceTolerances", "CRITERIA", "CriterionResult", "run_all",
+    "run_criterion",
 ]

@@ -1,9 +1,11 @@
 """Executable acceptance criteria.
 
 Each criterion is a self-contained check with pinned tolerances, runnable
-through `run_all` (used by both the CLI `verify` command and the test
-suite).  Results carry a human-readable detail string so a failure names
-the measured quantity, not just a boolean.
+through `run_criterion` (used by the test suite and the benchmark) or
+`run_all` (used by the CLI `verify` command).  The pinned numbers live in
+`AcceptanceTolerances`; no command-line input or config file changes them.
+Results carry a human-readable detail string so a failure names the
+measured quantity, not just a boolean.
 """
 
 from __future__ import annotations
@@ -478,7 +480,6 @@ def run_criterion(
 
 def run_all(
     name_filter: Optional[str] = None,
-    tolerances: Optional[AcceptanceTolerances] = None,
     seed: int = 20240501,
 ) -> list[CriterionResult]:
     """Run every criterion whose number or name matches the filter."""
@@ -488,19 +489,6 @@ def run_all(
             probe = name_filter.strip().lower()
             if probe not in name.lower() and probe != str(num):
                 continue
-        results.append(run_criterion(num, tolerances, seed))
+        results.append(run_criterion(num, seed=seed))
     return results
 
-
-def override_tolerances(base: AcceptanceTolerances,
-                        overrides: dict) -> AcceptanceTolerances:
-    """Apply config-file overrides; unknown keys are a usage error."""
-    valid = set(base.__dataclass_fields__)
-    bad = set(overrides) - valid
-    if bad:
-        raise KeyError(f"unknown tolerance keys: {sorted(bad)}")
-    typed = {}
-    for key, val in overrides.items():
-        kind = base.__dataclass_fields__[key].type
-        typed[key] = int(val) if kind == "int" else float(val)
-    return replace(base, **typed)

@@ -150,10 +150,14 @@ def stiff_phi(x1: float, x2: float, lam: float, r: float) -> float:
 
     The arithmetic below is evaluated in a fixed order on purpose: the run
     is chaotic enough that reassociating these products changes the step
-    pattern within a few hundred steps.  Do not "simplify".
+    pattern within a few hundred steps.  Do not "simplify".  A zero
+    denominator (the origin, or a state so small that den underflows)
+    imposes no restriction and returns r, as in `linear_phi`.
     """
     num = (1000.0 * (x1 * x1) + x2 * x2) - x1 * x2
     den = 1000000.0 * (x1 * x1) + (x1 - x2) * (x1 - x2)
+    if den == 0.0:
+        return r
     return min(((2.0 * (1.0 - lam)) * num) / den, r)
 
 
@@ -470,9 +474,8 @@ def nlp_solve(
         if p <= 0:
             raise ConfigurationError("Hessian bound must be positive")
         h = min(2.0 * (1.0 - lam) / p, r)
-        cert = decrease_test(flow.lyap, EULER, flow.field, w, h, lam)
-        if not cert.accepted:
-            cert = halving_controller(flow.lyap, EULER, flow.field, w, h, lam)
+        cert = halving_controller(flow.lyap, EULER, flow.field, w, h, lam)
+        if cert.halvings > 0:
             certified = False
         return cert.h, cert
 

@@ -4,13 +4,14 @@ Usage:
     stabstep run <experiment> [--param value ...] [--out DIR] [--seed N]
     stabstep run --config FILE [--out DIR] [--seed N]
     stabstep run --list
-    stabstep verify [--filter TEXT] [--config FILE] [--seed N]
+    stabstep verify [--filter TEXT] [--seed N]
 
-Exit codes: 0 success, 1 experiment or criterion failure, 2 usage error.
+Exit codes: 0 success, 1 experiment or criterion failure, 2 usage error,
+which includes a negative seed.
 Config files are flat INI: each section names an experiment and its keys
 override that experiment's defaults; a [global] section may set out/seed,
-which --out/--seed override; an [acceptance] section overrides verify
-tolerances.
+which --out/--seed override.  `verify` takes no config file: its
+tolerances are the pinned `acceptance.AcceptanceTolerances`.
 """
 
 from __future__ import annotations
@@ -337,6 +338,17 @@ def _load_config(path: str):
     return parser
 
 
+def _seed(value, source: str) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        raise UsageError(f"{source} must be an integer, got {value!r}") \
+            from None
+    if seed < 0:
+        raise UsageError(f"{source} must be non-negative, got {seed}")
+    return seed
+
+
 def _run_experiment(exp: Experiment, overrides: dict, out: Path,
                     seed: int) -> str:
     params = dict(exp.defaults)
@@ -367,8 +379,6 @@ def _cmd_run(args, extra: list[str]) -> int:
             raise UsageError(f"give {args.name!r} or --config, not both")
         parser = _load_config(args.config)
         for section in parser.sections():
-            if section == "acceptance":
-                continue
             if section == "global":
                 settings = parser[section]
                 continue
@@ -391,12 +401,8 @@ def _cmd_run(args, extra: list[str]) -> int:
         jobs.append((_BY_NAME[args.name], _parse_overrides(extra)))
 
     out = Path(settings.get("out", "out") if args.out is None else args.out)
-    try:
-        seed = (int(settings.get("seed", _DEFAULT_SEED)) if args.seed is None
-                else args.seed)
-    except ValueError:
-        raise UsageError(f"[global] seed must be an integer, got "
-                         f"{settings['seed']!r}") from None
+    seed = (_seed(settings.get("seed", _DEFAULT_SEED), "[global] seed")
+            if args.seed is None else _seed(args.seed, "--seed"))
     if not jobs:
         print("nothing selected")
         return 0
@@ -415,17 +421,7 @@ def _cmd_run(args, extra: list[str]) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tolerances = acceptance.AcceptanceTolerances()
-    if args.config:
-        parser = _load_config(args.config)
-        if parser.has_section("acceptance"):
-            try:
-                tolerances = acceptance.override_tolerances(
-                    tolerances, dict(parser["acceptance"])
-                )
-            except (KeyError, ValueError) as exc:
-                raise UsageError(str(exc)) from exc
-    results = acceptance.run_all(args.filter, tolerances, args.seed)
+    results = acceptance.run_all(args.filter, _seed(args.seed, "--seed"))
     if not results:
         print("nothing selected")
         return 0
@@ -453,11 +449,12 @@ def main(argv=None) -> int:
                        help=f"64-bit seed, split per experiment "
                             f"(default {_DEFAULT_SEED})")
 
-    ver_p = sub.add_parser("verify", help="run the acceptance suite")
+    ver_p = sub.add_parser(
+        "verify", help="run the acceptance suite at its pinned tolerances")
     ver_p.add_argument("--filter", help="criterion number or name substring")
-    ver_p.add_argument("--config",
-                       help="INI file with an [acceptance] override section")
-    ver_p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+    ver_p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
+                       help=f"non-negative seed, split per criterion "
+                            f"(default {_DEFAULT_SEED})")
 
     args, extra = parser.parse_known_args(argv)
     try:

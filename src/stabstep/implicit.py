@@ -19,7 +19,7 @@ from .core import (
     VectorField,
     rk_increment,
 )
-from .lyapunov import LyapunovFunction, _SLACK
+from .lyapunov import LyapunovFunction, within_slack
 
 
 def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
@@ -59,7 +59,7 @@ def convex_decrease_check(
     x = np.asarray(x, dtype=float)
     y = implicit_euler_step(field, x, h)
     vx = lyap(x)
-    return lyap(y) <= vx + _SLACK * max(1.0, abs(vx))
+    return within_slack(lyap(y), vx)
 
 
 def gradient_system_field(lyap: LyapunovFunction, dim: int) -> VectorField:
@@ -84,6 +84,6 @@ def check_midpoint_convexity(
         y = 5.0 * rng.standard_normal(dim)
         lhs = lyap(0.5 * (x + y))
         rhs = 0.5 * (lyap(x) + lyap(y))
-        if lhs > rhs + _SLACK * max(1.0, abs(rhs)):
+        if not within_slack(lhs, rhs):
             return False
     return True

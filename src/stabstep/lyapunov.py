@@ -36,6 +36,12 @@ _H_SAMPLES = 33  # grid points of the curvature maximum over h in [0, r]
 _MAX_HALVINGS = 40
 
 
+def within_slack(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to the relative roundoff slack that every decrease and
+    convexity check in the package shares; a NaN on either side fails."""
+    return lhs <= rhs + _SLACK * max(1.0, abs(rhs))
+
+
 @dataclass(frozen=True)
 class LyapunovFunction:
     """Positive definite V with its gradient and optional curvature data.
@@ -133,7 +139,7 @@ def decrease_test(
         )
     x_next = x + h * incr
     lhs = lyap(x_next)
-    accepted = lhs <= rhs + _SLACK * max(1.0, abs(rhs))
+    accepted = within_slack(lhs, rhs)
     return DecreaseCertificate(x=x, h=h, lhs=lhs, rhs=rhs, accepted=accepted,
                                x_next=x_next, tableau=tableau, field=field)
 
@@ -355,7 +361,7 @@ def certify_trajectory(
         v_here = v_next
         threshold = v_here + lam * h * _lie_derivative(lyap, field, x)
         v_next = lyap(traj.states[i + 1])
-        accepted = v_next <= threshold + _SLACK * max(1.0, abs(threshold))
+        accepted = within_slack(v_next, threshold)
         halv = 0
         if traj.certificates:
             cert = traj.certificates[i]

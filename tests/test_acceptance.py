@@ -9,6 +9,7 @@ import functools
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,21 @@ def test_suite_runtime_budget():
     """The whole gate must stay interactive: under a minute in all, summed
     over the run times the criteria record."""
     assert sum(criterion_result(n).seconds for n in NUMBERS) < 60.0
+
+
+# each value is tightened just past what the criterion measures at the
+# default seed (in the comment), so the criterion must turn red
+@pytest.mark.parametrize("number, field, value", [
+    (1, "stiff_rel_tol", 1e-12),      # rel 3.6e-07
+    (2, "min_small_steps", 278),      # 277 small steps
+    (8, "agreement_rtol", 1e-15),     # worst spread 2.8e-15
+    (11, "slope_margin", 0.0),        # euler slope 0.99
+])
+def test_tightened_tolerance_fails(number, field, value):
+    tolerances = replace(AcceptanceTolerances(), **{field: value})
+    result = run_criterion(number, tolerances)
+    assert not result.passed, result.line()
+    assert criterion_result(number).passed
 
 
 def _whole_array_reference(steps: np.ndarray) -> float:

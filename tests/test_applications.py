@@ -1,6 +1,7 @@
 """Worked systems: spirals, the stiff pair, sweeps, and the QP flow."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stabstep.core import (ConfigurationError, ConstantController,
                            ControllerError, EULER, HybridTrajectory, advance)
-from stabstep import applications
+from stabstep import applications, lyapunov
 from stabstep.lyapunov import certify_trajectory, decrease_test
 from stabstep.applications import (
     STIFF_A,
@@ -136,6 +137,16 @@ class TestStiffPair:
     def test_phi_on_second_axis(self):
         assert stiff_phi(0.0, 1.0, 0.4, 10.0) == pytest.approx(1.2)
         assert stiff_phi(0.0, 1.0, 0.4, 1.0) == 1.0
+
+    def test_phi_with_a_zero_denominator_is_r(self):
+        assert stiff_phi(0.0, 0.0, 0.5, 2.0) == 2.0
+        assert stiff_phi(1e-170, 1e-170, 0.5, 2.0) == 2.0  # den underflows
+
+    def test_a_step_onto_the_origin(self):
+        traj, t_final = stiff_experiment(0.5, 1.0, (0.0, 1.0), 3)
+        assert traj.states.tolist() == [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+        assert traj.steps.tolist() == [1.0, 1.0]
+        assert t_final == 2.0
 
     def test_final_times_match_pinned_values(self):
         _, t6 = stiff_experiment(0.6)
@@ -292,6 +303,24 @@ class TestNlpFlow:
             np.testing.assert_array_equal(traj.final_state, res.w)
             assert res.v_history[1:] == tuple(
                 c.lhs for c in traj.certificates)
+
+    def test_a_rejected_law_step_is_tested_once(self, monkeypatch):
+        # an understated Hessian bound makes the law's step too long; each
+        # step then costs one decrease test per candidate, h included once
+        flow = self.pinned()
+        flow = replace(flow, hess_norm=flow.hess_norm / 3)
+        tested = []
+
+        def counting(*args):
+            tested.append(args[4])
+            return decrease_test(*args)
+
+        monkeypatch.setattr(applications, "decrease_test", counting)
+        monkeypatch.setattr(lyapunov, "decrease_test", counting)
+        res = nlp_solve(flow, np.zeros(3), lam=0.5, tol=1e-7)
+        halvings = [c.halvings for c in res.trajectory.certificates]
+        assert not res.certified and max(halvings) > 0
+        assert len(tested) == sum(k + 1 for k in halvings)
 
     def test_nan_start_raises(self):
         flow = self.pinned()

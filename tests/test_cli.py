@@ -156,24 +156,55 @@ def test_verify_empty_filter_is_not_an_error(capsys):
     assert "nothing selected" in out
 
 
-def test_verify_corrupted_tolerance_fails_loudly(tmp_path, capsys):
-    # tightening the stiff tolerance below its honest 3.6e-7 must flip
-    # criterion 1 to FAIL and the exit code to 1
+def test_verify_takes_no_config_file(tmp_path, capsys):
+    # the pinned tolerances are not settable from outside the program
     cfg = tmp_path / "acc.ini"
-    cfg.write_text("[acceptance]\nstiff_rel_tol = 1e-12\n")
-    code, out, _ = run_cli(["verify", "--filter", "1",
-                            "--config", str(cfg)], capsys)
-    assert code == 1
-    assert "criterion 1" in out
-    assert "FAIL" in out
-
-
-def test_verify_unknown_tolerance_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "acc.ini"
-    cfg.write_text("[acceptance]\nnot_a_knob = 3\n")
-    code, _, err = run_cli(["verify", "--filter", "1",
-                            "--config", str(cfg)], capsys)
+    cfg.write_text("[acceptance]\ndecay_target = 1.0\n")
+    code, out, err = run_cli(["verify", "--filter", "3",
+                              "--config", str(cfg)], capsys)
     assert code == 2
+    assert err.startswith("error:") and "--config" in err
+    assert "criterion" not in out
+
+
+def test_run_config_with_an_acceptance_section_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "acc.ini"
+    cfg.write_text(f"[global]\nout = {tmp_path}\n\n"
+                   "[acceptance]\ndecay_target = 1.0\n\n"
+                   "[advection]\nsteps = 2\n")
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "acceptance" in err
+    assert out == ""
+
+
+def test_run_negative_seed_flag_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(["run", "advection", "--seed", "-1",
+                              "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "-1" in err
+    assert out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_with_a_negative_global_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    out_dir = tmp_path / "results"
+    cfg.write_text(f"[global]\nout = {out_dir}\nseed = -3\n\n"
+                   "[advection]\nsteps = 2\n")
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "-3" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(["verify", "--filter", "8", "--seed", "-1"],
+                             capsys)
+    assert code == 2
+    assert err.startswith("error:") and "-1" in err
+    assert out == ""
 
 
 def test_console_script_entry_point(tmp_path):

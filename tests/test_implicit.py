@@ -265,3 +265,10 @@ def test_midpoint_convexity_spot_check():
                                  2.0 * x[1]]),
     )
     assert not check_midpoint_convexity(well, rng)
+
+
+def test_midpoint_convexity_counts_a_nan_as_a_violation():
+    # the shared slack rule fails a NaN, as decrease_test does
+    nan_v = LyapunovFunction(v=lambda x: math.nan,
+                             grad=lambda x: np.zeros_like(x))
+    assert not check_midpoint_convexity(nan_v, np.random.default_rng(2))
