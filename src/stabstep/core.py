@@ -58,7 +58,9 @@ class VectorField:
         L(x) dominating the Lipschitz constant of f on the ball
         {y : |y - x| <= lam*|x|} for the ball fraction lam in use.
     linear_matrix : ndarray, optional
-        Set when f(x) = A x; unlocks direct linear solves for implicit steps.
+        Set when f(x) = A x.  `implicit.implicit_euler_step` then solves
+        (I - hA) Y = x directly, and `rk_increment` skips its rebuilt-state
+        check; nothing else reads it.
     """
 
     dim: int
@@ -264,7 +266,7 @@ _STAGE_TOL = 1e-12  # relative to 1 + |x|
 
 
 def rk_increment(
-    tableau: ButcherTableau, field: VectorField, x: Array, h: float
+    tableau: ButcherTableau, field: VectorField, x: Array, h: float, *, fx=None
 ) -> Array:
     """Increment F(h, x) of the scheme, with F(0, x) = f(x).
 
@@ -275,28 +277,34 @@ def rk_increment(
     StageSolveError.  Under implicit Euler on a field without
     `linear_matrix`, the state x + h F rebuilt from a converged stage is
     verified too (`_check_rebuilt_state`).
+
+    fx, when given, must be f(x), evaluated once by a caller that tests
+    several h at one x.  It is the first explicit stage, the stage
+    derivatives of the first implicit iterate and F(0, x), bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if h < 0:
         raise ConfigurationError("step must be nonnegative")
+    if fx is None:
+        fx = field(x)
     if h == 0.0:
-        return field(x)
+        return fx
     s, n = tableau.stages, field.dim
     a, b = tableau.a, tableau.b
 
     if tableau.explicit:
         k = np.zeros((s, n))
-        for i in range(s):
-            yi = x + h * (a[i, :i] @ k[:i]) if i else x.copy()
-            k[i] = field(yi)
+        k[0] = fx
+        for i in range(1, s):
+            k[i] = field(x + h * (a[i, :i] @ k[:i]))
         return b @ k
 
     tol = _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
     y = np.tile(x, (s, 1))
+    fy = np.tile(fx, (s, 1))  # every stage starts at x
 
     if field.jacobian is not None:
         for _ in range(_STAGE_MAX_ITER):
-            fy = np.array([field(yi) for yi in y])
             res = y - x - h * (a @ fy)
             if float(np.max(np.linalg.norm(res, axis=1))) <= tol:
                 incr = b @ fy
@@ -316,12 +324,12 @@ def rk_increment(
             y = y - delta.reshape(s, n)
             if not np.all(np.isfinite(y)):
                 raise StageSolveError(f"stage Newton iteration diverged at h={h}")
+            fy = np.array([field(yi) for yi in y])
         else:
             raise StageSolveError(f"stage Newton iteration stalled at h={h}")
     else:
         prev = math.inf
         for _ in range(_STAGE_MAX_ITER):
-            fy = np.array([field(yi) for yi in y])
             target = x + h * (a @ fy)
             shift = float(np.max(np.linalg.norm(target - y, axis=1)))
             if not math.isfinite(shift) or shift > max(10.0 * prev, 1e6):
@@ -330,8 +338,9 @@ def rk_increment(
                     f"(residual {shift:.3e})"
                 )
             y = y + (target - y)  # not y = target: the sum rounds differently
+            fy = np.array([field(yi) for yi in y])
             if shift <= tol:
-                incr = b @ np.array([field(yi) for yi in y])
+                incr = b @ fy
                 break
             prev = shift
         else:
@@ -555,7 +564,7 @@ def advance(
     certs: list = []
 
     while True:
-        nx = float(np.linalg.norm(x))  # inf when |x|^2 overflows
+        nx = math.sqrt(x.dot(x))  # numpy's 1-D norm; inf on overflow
         if not math.isfinite(nx) and not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state at tau={tau}")
         if not tau < t_end or (nx < _NORM_FLOOR if stop is None else stop(x)):

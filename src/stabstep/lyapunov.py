@@ -112,6 +112,12 @@ def _lie_derivative(lyap: LyapunovFunction, field: VectorField, x: Array) -> flo
     return float(lyap.gradient(x) @ field(x))
 
 
+def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array):
+    """(f(x), V(x), grad V(x) . f(x)): what every decrease test at x shares."""
+    fx = field(x)
+    return fx, lyap(x), float(lyap.gradient(x) @ fx)
+
+
 def decrease_test(
     lyap: LyapunovFunction,
     tableau: ButcherTableau,
@@ -119,20 +125,25 @@ def decrease_test(
     x: Array,
     h: float,
     lam: float,
+    *, terms: Optional[tuple] = None,
 ) -> DecreaseCertificate:
     """Evaluate the Lyapunov decrease condition for one candidate step.
 
     A stage-solve failure (implicit tableau, step too large) is reported as
-    a rejection with the reason recorded, not an exception.
+    a rejection with the reason recorded, not an exception.  terms, when
+    given, must be state_terms(lyap, field, x): a controller testing several
+    h at one x evaluates f(x), V(x) and grad V . f once and hands them to
+    each test, which then forms the same rhs and increment bit for bit.
     """
     if h <= 0:
         raise ConfigurationError("decrease test needs h > 0")
     if not 0.0 < lam < 1.0:
         raise ConfigurationError("lam must lie in (0, 1)")
     x = np.asarray(x, dtype=float)
-    rhs = lyap(x) + lam * h * _lie_derivative(lyap, field, x)
+    fx, v, w = terms or state_terms(lyap, field, x)
+    rhs = v + lam * h * w
     try:
-        incr = rk_increment(tableau, field, x, h)
+        incr = rk_increment(tableau, field, x, h, fx=fx)
     except StageSolveError as exc:
         return DecreaseCertificate(
             x=x, h=h, lhs=float("nan"), rhs=rhs, accepted=False, reason=str(exc)
@@ -160,9 +171,10 @@ def halving_controller(
     """
     if h_init <= 0:
         raise ConfigurationError("h_init must be positive")
+    terms = state_terms(lyap, field, x)
     h = float(h_init)
     for k in range(_MAX_HALVINGS + 1):
-        cert = decrease_test(lyap, tableau, field, x, h, lam)
+        cert = decrease_test(lyap, tableau, field, x, h, lam, terms=terms)
         if cert.accepted:
             return replace(cert, halvings=k)
         h *= 0.5
@@ -176,9 +188,9 @@ def halving_controller(
 
 
 def _curvature_grid(
-    lyap: LyapunovFunction, field: VectorField, x: Array, r: float
+    lyap: LyapunovFunction, x: Array, fx: Array, r: float
 ) -> float:
-    """max over h in [0, r] of f(x)' H_V(x + h f(x)) f(x), grid-sampled.
+    """max over h in [0, r] of fx' H_V(x + h fx) fx, fx = f(x), grid-sampled.
 
     Inflated by 5% unless every sampled value coincides (constant Hessian
     along the ray), in which case the grid maximum is exact.  A V declared
@@ -186,7 +198,6 @@ def _curvature_grid(
     """
     if lyap.hess is None:
         raise ConfigurationError("Hessian required for curvature step bounds")
-    fx = field(x)
     if lyap.hess_constant:
         return float(fx @ np.asarray(lyap.hess(x), dtype=float) @ fx)
     vals = np.empty(_H_SAMPLES)
@@ -205,20 +216,23 @@ def euler_q_phi(
     x: Array,
     lam: float,
     r: float,
+    *, terms: Optional[tuple] = None,
 ) -> float:
     """Largest explicit-Euler step passing the decrease test by curvature.
 
     With q(x) the max of f' H_V(x + h f) f over h in [0, r], any
     h <= -2(1-lam) grad V . f / q(x) is accepted; nonpositive q means no
-    curvature obstruction and the cap r is returned.
+    curvature obstruction and the cap r is returned.  terms, when given,
+    must be state_terms(lyap, field, x); its f(x) and grad V . f then serve
+    the curvature grid too, and the decrease test of the chosen step.
     """
     x = np.asarray(x, dtype=float)
-    w = _lie_derivative(lyap, field, x)
+    fx, _, w = terms or state_terms(lyap, field, x)
     if w >= 0.0:
-        if w == 0.0 and float(np.linalg.norm(field(x))) == 0.0:
+        if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
             return r
         raise ConfigurationError("grad V . f must be negative away from 0")
-    q = _curvature_grid(lyap, field, x, r)
+    q = _curvature_grid(lyap, x, fx, r)
     if q <= 0.0:
         return r
     return min(2.0 * (1.0 - lam) * (-w) / q, r)
@@ -236,9 +250,10 @@ def k1_bound_euler(
     exact for constant Hessians, otherwise 5%-inflated.
     """
     x = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(field(x))) == 0.0:
+    fx = field(x)
+    if float(np.linalg.norm(fx)) == 0.0:
         return 0.0
-    return 0.5 * _curvature_grid(lyap, field, x, r)
+    return 0.5 * _curvature_grid(lyap, x, fx, r)
 
 
 def k1_phi(
@@ -407,9 +422,10 @@ class EulerQController:
     r: float
 
     def __call__(self, x: Array, tau: float):
-        h = euler_q_phi(self.lyap, self.field, x, self.lam, self.r)
-        cert = decrease_test(self.lyap, EULER, self.field, x, h, self.lam)
-        return h, cert
+        lyap, field, lam = self.lyap, self.field, self.lam
+        terms = state_terms(lyap, field, x)
+        h = euler_q_phi(lyap, field, x, lam, self.r, terms=terms)
+        return h, decrease_test(lyap, EULER, field, x, h, lam, terms=terms)
 
 
 @dataclass

@@ -311,9 +311,9 @@ class TestNlpFlow:
         flow = replace(flow, hess_norm=flow.hess_norm / 3)
         tested = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             tested.append(args[4])
-            return decrease_test(*args)
+            return decrease_test(*args, **kwargs)
 
         monkeypatch.setattr(applications, "decrease_test", counting)
         monkeypatch.setattr(lyapunov, "decrease_test", counting)

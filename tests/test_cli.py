@@ -37,6 +37,15 @@ def test_param_override(tmp_path, capsys):
     assert "t_final=3.798" in out
 
 
+@pytest.mark.parametrize("name", ["nlp-qp", "stiff-6.14"])
+def test_bad_lambda_is_named(name, tmp_path, capsys):
+    # checked before the first step, not reported as a step-size fault
+    code, out, _ = run_cli(["run", name, "--lambda", "1.0",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert f"{name}: FAILED (lam must lie in (0, 1))" in out
+
+
 def test_unknown_experiment_exits_2(capsys):
     code, _, err = run_cli(["run", "does-not-exist"], capsys)
     assert code == 2

@@ -1,6 +1,7 @@
 """Decrease tests, step-bound formulas, and trajectory certification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_continuous_lyapunov
 
+from stabstep.applications import example_fields
 from stabstep.core import (
     ConfigurationError,
     ConstantController,
@@ -15,6 +17,7 @@ from stabstep.core import (
     EULER,
     HEUN,
     IMPLICIT_EULER,
+    RK4,
     StepBoundConfig,
     VectorField,
     advance,
@@ -296,26 +299,27 @@ class TestStepReuse:
             assert np.array_equal(traj.states[i + 1], expected)
 
     def test_one_increment_per_decrease_test(self):
-        # each Euler decrease test calls f twice, once for grad V . f and
-        # once for the increment; advance adds no call of its own
+        # a halving call evaluates f(x) once, for grad V . f and for every
+        # Euler increment it tests; advance adds no call of its own
         f, calls = counting_field(self.A)
         ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
         traj = advance(EULER, f, ctrl, self.X0, t_end=3.0)
-        assert calls[0] == 2 * self.decrease_tests(traj)
+        assert self.decrease_tests(traj) > traj.steps.size
+        assert calls[0] == traj.steps.size
 
     def test_shrunk_step_is_recomputed(self):
         f, calls = counting_field(self.A)
         ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
         cfg = StepBoundConfig(u_input=lambda t: 0.3)
         traj = advance(EULER, f, ctrl, self.X0, t_end=3.0, cfg=cfg)
-        assert calls[0] == 2 * self.decrease_tests(traj) + traj.steps.size
+        assert calls[0] == 2 * traj.steps.size
         self.assert_steps_are(traj, EULER, f)
 
     def test_other_tableau_is_recomputed(self):
         f, calls = counting_field(self.A)
         ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
         traj = advance(HEUN, f, ctrl, self.X0, t_end=3.0)
-        assert calls[0] == 2 * self.decrease_tests(traj) + 2 * traj.steps.size
+        assert calls[0] == 3 * traj.steps.size
         self.assert_steps_are(traj, HEUN, f)
 
     def test_other_field_object_is_recomputed(self):
@@ -323,7 +327,7 @@ class TestStepReuse:
         twin = VectorField(dim=f.dim, f=f.f)
         ctrl = HalvingController(vsq(), EULER, twin, lam=0.5, h_init=1.0)
         traj = advance(EULER, f, ctrl, self.X0, t_end=3.0)
-        assert calls[0] == 2 * self.decrease_tests(traj) + traj.steps.size
+        assert calls[0] == 2 * traj.steps.size
         self.assert_steps_are(traj, EULER, f)
 
 
@@ -339,6 +343,87 @@ def hurwitz_problems(draw):
     a = m - (float(np.max(np.linalg.eigvals(m).real)) + margin) * np.eye(dim)
     p = solve_continuous_lyapunov(a.T, -np.eye(dim))
     return a, 0.5 * (p + p.T), x0
+
+
+PLANAR = example_fields()
+
+
+@st.composite
+def certified_problems(draw):
+    """(field, lyap, x0): a Hurwitz A with V = x'Px, or a planar system."""
+    if draw(st.booleans()):
+        a, p, x0 = draw(hurwitz_problems())
+        return linear_field(a), quadratic_lyapunov(p), x0
+    sysd = PLANAR[draw(st.sampled_from(sorted(PLANAR)))]
+    x0 = draw(hnp.arrays(np.float64, 2, elements=st.floats(-1.5, 1.5)))
+    assume(float(np.linalg.norm(x0)) > 0.1)
+    return sysd.field, sysd.lyap, x0
+
+
+class TestStateTermsHandOff:
+    """Controllers evaluate f(x), V(x) and grad V . f once per call, and
+    their certificates equal those of plain decrease tests, bit for bit.
+    lam and h_init are not powers of two, so products round."""
+
+    LAM, H_INIT = 0.6, 0.9
+
+    def plain_halving(self, lyap, tab, field, x):
+        h = self.H_INIT
+        for k in range(41):
+            cert = decrease_test(lyap, tab, field, x, h, self.LAM)
+            if cert.accepted:
+                return cert, k
+            h *= 0.5
+        raise AssertionError("no accepted step")
+
+    def plain_euler_q(self, lyap, field, x):
+        h = euler_q_phi(lyap, field, x, self.LAM, self.H_INIT)
+        return decrease_test(lyap, EULER, field, x, h, self.LAM), 0
+
+    @staticmethod
+    def assert_same(cert, plain, halvings):
+        assert cert.h.hex() == plain.h.hex()
+        assert cert.lhs.hex() == plain.lhs.hex()
+        assert cert.rhs.hex() == plain.rhs.hex()
+        assert np.array_equal(cert.x_next, plain.x_next)
+        assert cert.halvings == halvings
+
+    @settings(max_examples=40, deadline=None)
+    @given(certified_problems())
+    def test_certificates_and_field_calls(self, problem):
+        field, lyap, x0 = problem
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return field.f(x)
+
+        counted = replace(field, f=f)
+        lam, h_init = self.LAM, self.H_INIT
+        runs = [(tab, HalvingController(lyap, tab, counted, lam, h_init))
+                for tab in (EULER, HEUN, RK4, IMPLICIT_EULER)]
+        runs.append((None, EulerQController(lyap, counted, lam, h_init)))
+        for tab, ctrl in runs:
+            costs = []
+
+            def costed(x, tau):
+                before = calls[0]
+                out = ctrl(x, tau)
+                costs.append(calls[0] - before)
+                return out
+
+            traj = advance(tab or EULER, counted, costed, x0, t_end=5.0,
+                           max_steps=20)
+            for x, cert, cost in zip(traj.states, traj.certificates, costs):
+                if tab is None:
+                    self.assert_same(cert, *self.plain_euler_q(lyap, field, x))
+                    assert cost == 1
+                    continue
+                self.assert_same(cert,
+                                 *self.plain_halving(lyap, tab, field, x))
+                if tab.explicit:
+                    tests = cert.halvings + 1
+                    assert cost == 1 + (tab.stages - 1) * tests
 
 
 class TestCertificateMatchesAudit:
