@@ -29,6 +29,7 @@ from .core import (
 )
 from .lyapunov import (
     LyapunovFunction,
+    check_lam,
     decrease_test,
     halving_controller,
 )
@@ -175,8 +176,7 @@ def stiff_experiment(
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be at least 1")
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError("lam must lie in (0, 1)")
+    check_lam(lam)
     x1, x2 = float(x0[0]), float(x0[1])
     if x1 == 0.0 and x2 == 0.0:
         raise ConfigurationError("x0 must be nonzero")
@@ -462,8 +462,7 @@ def nlp_solve(
     FloatingPointError, and 200000 steps without convergence raise
     ControllerError.
     """
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError("lam must lie in (0, 1)")
+    check_lam(lam)
     certified = True
     residual = math.nan
 

@@ -381,6 +381,9 @@ def _cmd_run(args, extra: list[str]) -> int:
         for section in parser.sections():
             if section == "global":
                 settings = parser[section]
+                unknown = sorted(set(settings) - {"out", "seed"})
+                if unknown:
+                    raise UsageError(f"[global] takes out and seed, not {unknown}")
                 continue
             if section not in _BY_NAME:
                 raise UsageError(f"unknown experiment in config: {section}")

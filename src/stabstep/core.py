@@ -99,11 +99,13 @@ class ButcherTableau:
     """Runge-Kutta coefficients (a, b) with the scheme's classical order.
 
     The stage equations are Y_i = x + h * sum_j a[i, j] f(Y_j) and the
-    increment is F(h, x) = sum_i b[i] f(Y_i).  Consistency (sum(b) == 1)
-    is enforced at construction.  The `explicit` flag (strict
-    lower-triangularity of `a`) and `a_norm` (max absolute row sum of `a`,
-    the stage-contraction radius scale) are computed once there too; they
-    take no part in the constructor, repr or equality.
+    increment is F(h, x) = sum_i b[i] f(Y_i).  Construction enforces
+    consistency (sum(b) == 1) and refuses every implicit tableau but
+    implicit Euler, a = [[1]], the one `rk_increment` solves.  The
+    `explicit` flag (strict lower-triangularity of `a`) and `a_norm` (max
+    absolute row sum of `a`, the stage-contraction radius scale) are
+    computed there too; they take no part in the constructor, repr or
+    equality.
     """
 
     name: str
@@ -125,6 +127,8 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "explicit", bool(np.all(np.triu(a) == 0.0)))
+        if not (self.explicit or np.array_equal(a, [[1.0]])):
+            raise ConfigurationError("the one implicit tableau is implicit Euler")
         object.__setattr__(self, "a_norm",
                            float(np.max(np.sum(np.abs(a), axis=1))))
 
@@ -170,16 +174,14 @@ _NORM_FLOOR = 1e-14  # a state this small counts as the origin
 
 @dataclass(frozen=True)
 class StepBoundConfig:
-    """Knobs for state-dependent step bounds and realized steps.
+    """Knobs of the state-dependent step bound (`default_phi`, `growth_bound`).
 
-    r is the hard step cap, lambda_ball the ball fraction in (0, 1) used by
-    the default bound and by numeric Lipschitz estimation, u_input an optional
-    nonnegative signal that shrinks realized steps by exp(-u(tau)).
+    r is the bound's step cap, lambda_ball the ball fraction in (0, 1) used
+    by the bound and by numeric Lipschitz estimation.
     """
 
     r: float = 1.0
     lambda_ball: float = 0.5
-    u_input: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not self.r > 0:
@@ -270,17 +272,17 @@ def rk_increment(
 ) -> Array:
     """Increment F(h, x) of the scheme, with F(0, x) = f(x).
 
-    Explicit tableaus evaluate the stages sequentially.  Implicit tableaus
-    solve the stage system by Newton iteration when the field has a Jacobian
-    and by fixed-point iteration otherwise, to a residual of
-    1e-12 (1 + |x|); failure to converge within 50 iterations raises
-    StageSolveError.  Under implicit Euler on a field without
-    `linear_matrix`, the state x + h F rebuilt from a converged stage is
-    verified too (`_check_rebuilt_state`).
+    Explicit tableaus evaluate the stages sequentially.  Implicit Euler,
+    the one implicit tableau, solves y = x + h f(y) from y = x by Newton
+    iteration with I - h J(y) when the field has a Jacobian and by
+    fixed-point iteration otherwise, to a residual of 1e-12 (1 + |x|), and
+    returns F = f(y); failure within 50 iterations raises StageSolveError.
+    On a field without `linear_matrix`, the state x + h F rebuilt from the
+    converged stage is verified too (`_check_rebuilt_state`).
 
     fx, when given, must be f(x), evaluated once by a caller that tests
-    several h at one x.  It is the first explicit stage, the stage
-    derivatives of the first implicit iterate and F(0, x), bit for bit.
+    several h at one x.  It is the first explicit stage, f of the first
+    implicit iterate and F(0, x), bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if h < 0:
@@ -289,58 +291,46 @@ def rk_increment(
         fx = field(x)
     if h == 0.0:
         return fx
-    s, n = tableau.stages, field.dim
-    a, b = tableau.a, tableau.b
-
     if tableau.explicit:
-        k = np.zeros((s, n))
+        a, s = tableau.a, tableau.stages
+        k = np.zeros((s, field.dim))
         k[0] = fx
         for i in range(1, s):
             k[i] = field(x + h * (a[i, :i] @ k[:i]))
-        return b @ k
+        return tableau.b @ k
 
+    # |r| sums the squares in index order: np.linalg.norm of a 1-D array
+    # takes a dot product instead, which can round differently
     tol = _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
-    y = np.tile(x, (s, 1))
-    fy = np.tile(fx, (s, 1))  # every stage starts at x
-
+    y, fy = x, fx
     if field.jacobian is not None:
         for _ in range(_STAGE_MAX_ITER):
-            res = y - x - h * (a @ fy)
-            if float(np.max(np.linalg.norm(res, axis=1))) <= tol:
-                incr = b @ fy
+            res = y - x - h * fy
+            if math.sqrt((res ** 2).sum()) <= tol:
                 break
-            jac = np.eye(s * n)
-            for i in range(s):
-                for j in range(s):
-                    if a[i, j] != 0.0:
-                        block = field.jacobian(y[j])
-                        jac[i * n : (i + 1) * n, j * n : (j + 1) * n] -= (
-                            h * a[i, j] * np.asarray(block, dtype=float)
-                        )
+            jac = np.eye(x.size) - h * np.asarray(field.jacobian(y), dtype=float)
             try:
-                delta = np.linalg.solve(jac, res.ravel())
+                y = y - np.linalg.solve(jac, res)
             except np.linalg.LinAlgError as exc:
                 raise StageSolveError(f"singular stage Jacobian at h={h}") from exc
-            y = y - delta.reshape(s, n)
             if not np.all(np.isfinite(y)):
                 raise StageSolveError(f"stage Newton iteration diverged at h={h}")
-            fy = np.array([field(yi) for yi in y])
+            fy = field(y)
         else:
             raise StageSolveError(f"stage Newton iteration stalled at h={h}")
     else:
         prev = math.inf
         for _ in range(_STAGE_MAX_ITER):
-            target = x + h * (a @ fy)
-            shift = float(np.max(np.linalg.norm(target - y, axis=1)))
+            target = x + h * fy
+            shift = math.sqrt(((target - y) ** 2).sum())
             if not math.isfinite(shift) or shift > max(10.0 * prev, 1e6):
                 raise StageSolveError(
                     f"stage fixed-point iteration diverged at h={h} "
                     f"(residual {shift:.3e})"
                 )
             y = y + (target - y)  # not y = target: the sum rounds differently
-            fy = np.array([field(yi) for yi in y])
+            fy = field(y)
             if shift <= tol:
-                incr = b @ fy
                 break
             prev = shift
         else:
@@ -350,9 +340,9 @@ def rk_increment(
             )
 
     # f = Ax is exempt: |r| <= tol gives |hAr| <= h|A| tol < 10 tol (1 + h|A|)
-    if s == 1 and a[0, 0] == 1.0 and field.linear_matrix is None:
-        _check_rebuilt_state(field, x, h, incr)
-    return incr
+    if field.linear_matrix is None:
+        _check_rebuilt_state(field, x, h, fy)
+    return fy
 
 
 def _check_rebuilt_state(
@@ -516,8 +506,8 @@ class ConstantController:
     """Always proposes the same base step."""
 
     def __init__(self, h: float):
-        if h <= 0:
-            raise ConfigurationError("constant step must be positive")
+        if not (h > 0 and math.isfinite(h)):
+            raise ConfigurationError("constant step must be positive and finite")
         self.h = float(h)
 
     def __call__(self, x: Array, tau: float) -> float:
@@ -530,7 +520,7 @@ def advance(
     controller,
     x0: Array,
     t_end: float,
-    cfg: Optional[StepBoundConfig] = None,
+    u_input: Optional[Callable[[float], float]] = None,
     max_steps: Optional[int] = None,
     stop: Optional[Callable[[Array], bool]] = None,
 ) -> HybridTrajectory:
@@ -543,9 +533,10 @@ def advance(
     stop(x) is asked whether the run is done; without a stop rule the run
     ends once |x| < 1e-14.  Then max_steps is checked, and only then is the
     controller called, as controller(x, tau).  It returns either a base
-    step or a (base step, certificate) pair.  When cfg.u_input is set the
-    realized step is base * exp(-u(tau)).  A non-finite state raises
-    FloatingPointError rather than ending the run as if it had converged.
+    step or a (base step, certificate) pair.  A nonnegative input u_input
+    shrinks the realized step to base * exp(-u_input(tau)).  A non-finite
+    state raises FloatingPointError rather than ending the run as if it
+    had converged.
 
     A certificate that carries the state it tested (`x_next`, as
     lyapunov.decrease_test records it) is taken as the next state, without
@@ -555,7 +546,6 @@ def advance(
     scheme steps here.  Both paths compute x + h * F(h, x) from the same
     operands, so the states are bit-identical.
     """
-    cfg = cfg or StepBoundConfig()
     x = np.asarray(x0, dtype=float).copy()
     tau = 0.0
     taus = [tau]
@@ -577,8 +567,8 @@ def advance(
         if not h_base > 0 or not math.isfinite(h_base):
             raise ControllerError(f"controller proposed step {h_base} at tau={tau}")
         h = h_base
-        if cfg.u_input is not None:
-            h = h_base * math.exp(-float(cfg.u_input(tau)))
+        if u_input is not None:
+            h = h_base * math.exp(-float(u_input(tau)))
         x_next = getattr(cert, "x_next", None)
         if x_next is None or not (cert.x is x and cert.h == h
                                   and cert.tableau is scheme

@@ -42,6 +42,12 @@ def within_slack(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + _SLACK * max(1.0, abs(rhs))
 
 
+def check_lam(lam: float) -> None:
+    """Refuse a decrease fraction outside (0, 1), NaN included."""
+    if not 0.0 < lam < 1.0:
+        raise ConfigurationError("lam must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class LyapunovFunction:
     """Positive definite V with its gradient and optional curvature data.
@@ -137,8 +143,7 @@ def decrease_test(
     """
     if h <= 0:
         raise ConfigurationError("decrease test needs h > 0")
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError("lam must lie in (0, 1)")
+    check_lam(lam)
     x = np.asarray(x, dtype=float)
     fx, v, w = terms or state_terms(lyap, field, x)
     rhs = v + lam * h * w
@@ -363,9 +368,10 @@ def certify_trajectory(
     """Re-check the decrease condition at every recorded step.
 
     Each threshold is V(x) + lam * h * grad V(x) . f(x), the one
-    decrease_test compares against.  Halving counts are copied from the
-    trajectory's certificates when present.
+    decrease_test compares against, with lam in (0, 1).  Halving counts are
+    copied from the trajectory's certificates when present.
     """
+    check_lam(lam)
     rows = []
     first_violation = None
     ok = True

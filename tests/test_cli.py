@@ -135,6 +135,19 @@ def test_config_with_a_malformed_global_seed_exits_2(tmp_path, capsys):
     assert run_cli(["run", "--config", str(cfg)], capsys)[0] == 2
 
 
+def test_config_with_an_unknown_global_key_exits_2(tmp_path, capsys):
+    # a misspelt seed must not run silently at the default seed
+    cfg = tmp_path / "bad.ini"
+    out_dir = tmp_path / "results"
+    cfg.write_text(f"[global]\nout = {out_dir}\nseeed = 5\n\n"
+                   "[advection]\nsteps = 2\n")
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "seeed" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_name_with_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[global]\nout = {tmp_path}\n")

@@ -77,6 +77,14 @@ class TestTableaus:
         with pytest.raises(ConfigurationError):
             ButcherTableau("bad", np.zeros((2, 2)), np.array([1.0]), 1)
 
+    @pytest.mark.parametrize("a, b", [
+        ([[0.5]], [1.0]),  # implicit midpoint
+        ([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5]),  # trapezoid
+    ])
+    def test_implicit_euler_is_the_only_implicit_tableau(self, a, b):
+        with pytest.raises(ConfigurationError, match="implicit Euler"):
+            ButcherTableau("implicit", a, b, 2)
+
 
 class TestRkIncrement:
     def test_euler_is_f_of_x(self):
@@ -207,9 +215,8 @@ class TestAdvance:
         # u = ln 2 turns a unit commanded step into 1/2, and Euler on
         # x' = -x with h = 1/2 halves the state exactly.
         f = scalar_decay()
-        cfg = StepBoundConfig(r=10.0, u_input=lambda t: math.log(2.0))
         traj = advance(EULER, f, ConstantController(1.0), np.array([1.0]),
-                       t_end=1.0, cfg=cfg)
+                       t_end=1.0, u_input=lambda t: math.log(2.0))
         np.testing.assert_array_equal(traj.tau, [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(traj.states.ravel(), [1.0, 0.5, 0.25])
 
@@ -261,6 +268,11 @@ class TestAdvance:
                        t_end=math.inf, stop=lambda x: True)
         assert traj.steps.size == 0
         np.testing.assert_array_equal(traj.states, [[1.0]])
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_constant_controller_needs_a_finite_positive_step(self, h):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            ConstantController(h)
 
     def test_rejects_nonpositive_step(self):
         f = scalar_decay()

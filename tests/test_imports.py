@@ -28,12 +28,26 @@ def test_import_leaves_out_scipy_stats():
 def test_benchmark_finds_its_names():
     """bench/workloads.py imports names from the package and
     bench/tracing.py wraps others; removing one fails here, not only in a
-    traced benchmark run.  bench/ is read in place, nothing is written."""
-    proc = run_python(f"import sys\n"
-                      f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
-                      f"import tracing, workloads\n"
-                      f"tracing.install(tracing.Tracer())\n")
+    traced benchmark run.  One traced implicit Euler run then checks that
+    the wrappers read their calls' arguments and count the work.  bench/
+    is read in place, nothing is written."""
+    proc = run_python(
+        f"import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        f"import numpy as np, tracing, workloads\n"
+        f"from stabstep import core, lyapunov\n"
+        f"tr = tracing.Tracer()\n"
+        f"tracing.install(tr)\n"
+        f"f = core.linear_field(np.array([[-1.0, 1.0], [-1.0, -1.0]]))\n"
+        f"v = lyapunov.quadratic_lyapunov(np.eye(2))\n"
+        f"ctrl = lyapunov.HalvingController(v, core.IMPLICIT_EULER, f,\n"
+        f"                                  lam=0.5, h_init=4.0)\n"
+        f"core.advance(core.IMPLICIT_EULER, f, ctrl, np.ones(2), 1.0)\n"
+        f"calls = tr.totals()[0]\n"
+        f"print(calls['core.advance'], calls['core.rk_increment.implicit'] > 0,"
+        f" calls['core.field'] > 0, tr.counts['core.advance.steps'] > 0)\n")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "True", "True"]
 
 
 def test_public_names_resolve_and_none_is_a_module():

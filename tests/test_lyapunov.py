@@ -16,9 +16,9 @@ from stabstep.core import (
     ControllerError,
     EULER,
     HEUN,
+    HybridTrajectory,
     IMPLICIT_EULER,
     RK4,
-    StepBoundConfig,
     VectorField,
     advance,
     linear_field,
@@ -254,6 +254,16 @@ class TestCertification:
         assert lines[0] == "i,tau,V,threshold,accepted,halvings"
         assert len(lines) == traj.steps.size + 1
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0, math.nan])
+    def test_audit_refuses_lam_outside_the_unit_interval(self, lam):
+        # with lam = -1 the threshold V + lam h grad V . f = 1 + 2 admits
+        # the growth of V = x^2 from 1 to 2.25 under f = -x
+        traj = HybridTrajectory(tau=[0.0, 1.0], states=[[1.0], [1.5]],
+                                steps=[1.0])
+        with pytest.raises(ConfigurationError, match="lam must lie in"):
+            certify_trajectory(quadratic_lyapunov(np.eye(1)), traj, lam,
+                               field=linear_field(np.array([[-1.0]])))
+
 
 class TestControllers:
     def test_euler_q_controller_attaches_certs(self):
@@ -310,8 +320,8 @@ class TestStepReuse:
     def test_shrunk_step_is_recomputed(self):
         f, calls = counting_field(self.A)
         ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
-        cfg = StepBoundConfig(u_input=lambda t: 0.3)
-        traj = advance(EULER, f, ctrl, self.X0, t_end=3.0, cfg=cfg)
+        traj = advance(EULER, f, ctrl, self.X0, t_end=3.0,
+                       u_input=lambda t: 0.3)
         assert calls[0] == 2 * traj.steps.size
         self.assert_steps_are(traj, EULER, f)
 
@@ -468,10 +478,9 @@ class TestExactClock:
         def u(tau):
             return u_amp * (1.0 + math.sin(u_freq * tau))
 
-        cfg = StepBoundConfig(u_input=u)
         for ctrl in (ConstantController(h),
                      HalvingController(lyap, tab, field, lam=0.5, h_init=h)):
-            traj = advance(tab, field, ctrl, x0, t_end=3.0, cfg=cfg,
+            traj = advance(tab, field, ctrl, x0, t_end=3.0, u_input=u,
                            max_steps=200)
             assert np.array_equal(traj.tau[1:], traj.tau[:-1] + traj.steps)
             bases = [c.h for c in traj.certificates] or [h] * traj.steps.size
