@@ -22,14 +22,8 @@ from .core import (
     ReferenceSolution,
     RK4,
     StageSolveError,
-    StepBoundConfig,
-    TABLEAUS,
     VectorField,
     advance,
-    default_phi,
-    estimate_gamma,
-    estimate_local_lipschitz,
-    growth_bound,
     linear_field,
     reference_at_times,
     reference_solve,
@@ -51,7 +45,6 @@ from .lyapunov import (
     k1_bound_euler,
     k1_phi,
     linear_phi,
-    order_p_phi,
     quadratic_lyapunov,
 )
 from .implicit import (
@@ -82,7 +75,6 @@ from .global_error import (
     error_bound_finite_time,
     error_budget_step,
     error_report,
-    estimate_increment_lipschitz,
     order_reduction_exponent,
 )
 from .applications import (
@@ -122,16 +114,14 @@ __all__ = [
     "ButcherTableau", "ConfigurationError", "ConstantController",
     "ControllerError", "EULER", "HEUN", "HybridTrajectory", "IMPLICIT_EULER",
     "IMPROVED_POLYGON", "KUTTA3", "OracleError", "ReferenceSolution", "RK4",
-    "StageSolveError", "StepBoundConfig", "TABLEAUS", "VectorField", "advance",
-    "default_phi", "estimate_gamma", "estimate_local_lipschitz",
-    "growth_bound", "linear_field", "reference_at_times", "reference_solve",
-    "rk_increment", "write_csv", "write_trajectory_csv",
+    "StageSolveError", "VectorField", "advance", "linear_field",
+    "reference_at_times", "reference_solve", "rk_increment", "write_csv",
+    "write_trajectory_csv",
     # lyapunov
     "CertificationReport", "DecreaseCertificate", "EulerQController",
     "HalvingController", "LinearQuadraticController", "LyapunovFunction",
     "certify_trajectory", "decrease_test", "euler_q_phi", "halving_controller",
-    "k1_bound_euler", "k1_phi", "linear_phi", "order_p_phi",
-    "quadratic_lyapunov",
+    "k1_bound_euler", "k1_phi", "linear_phi", "quadratic_lyapunov",
     # implicit
     "check_midpoint_convexity", "convex_decrease_check",
     "gradient_system_field", "implicit_euler_step",
@@ -142,7 +132,7 @@ __all__ = [
     # global_error
     "ErrorBudget", "ErrorReport", "compliant_steps", "defect", "defect_orders",
     "error_bound", "error_bound_finite_time", "error_budget_step",
-    "error_report", "estimate_increment_lipschitz", "order_reduction_exponent",
+    "error_report", "order_reduction_exponent",
     # applications
     "ConvexObjective", "ExampleSystem", "NlpFlow", "NlpResult", "STIFF_A",
     "STIFF_P", "SWEEP_TABLEAUS", "boundary_sweep", "euler_f2_limit_radius",

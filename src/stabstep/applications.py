@@ -22,7 +22,6 @@ from .core import (
     IMPROVED_POLYGON,
     KUTTA3,
     VectorField,
-    _unit_ball_points,
     advance,
     linear_field,
     write_csv,
@@ -79,39 +78,22 @@ def example_fields() -> dict[str, ExampleSystem]:
             [-1.0 - 2.0 * x1 * x2, -(x1 * x1 + 3.0 * x2 * x2)],
         ])
 
-    f2_field = VectorField(
-        dim=2,
-        f=f2,
-        jacobian=f2_jac,
-        gamma=lambda s: 1.0 + s * s,
-        local_lipschitz=lambda x: 1.0 + 12.0 * float(x @ x),
-    )
+    f2_field = VectorField(dim=2, f=f2, jacobian=f2_jac)
 
     def f3(x: Array) -> Array:
         return (x @ x) * (_M1 @ x)
 
     f3_field = VectorField(
-        dim=2,
-        f=f3,
-        jacobian=lambda x: (x @ x) * _M1 + 2.0 * np.outer(_M1 @ x, x),
-        gamma=lambda s: math.sqrt(2.0) * s * s,
-        local_lipschitz=lambda x: 12.0 * math.sqrt(2.0) * float(x @ x),
-    )
+        dim=2, f=f3,
+        jacobian=lambda x: (x @ x) * _M1 + 2.0 * np.outer(_M1 @ x, x))
 
     def f427(x: Array) -> Array:
         return np.array([-x[0] + x[1] * x[1], -x[1] - x[0] * x[1]])
 
     sys427_field = VectorField(
-        dim=2,
-        f=f427,
-        jacobian=lambda x: np.array(
-            [[-1.0, 2.0 * x[1]], [-x[1], -1.0 - x[0]]]
-        ),
-        gamma=lambda s: 1.0 + s,
-        # Frobenius bound of the nonlinear part on the ball of radius 2|x|
-        local_lipschitz=lambda x: 1.0 + 2.0 * math.sqrt(5.0)
-        * float(np.linalg.norm(x)),
-    )
+        dim=2, f=f427,
+        jacobian=lambda x: np.array([[-1.0, 2.0 * x[1]],
+                                     [-x[1], -1.0 - x[0]]]))
 
     v427 = LyapunovFunction(
         v=lambda x: 0.5 * float(x @ x),
@@ -419,6 +401,16 @@ def _hess_v_norm_fd(flow: NlpFlow, w: Array) -> float:
         h[:, j] = (-flow.field(w + e) + flow.field(w - e)) / (2.0 * delta)
     h = 0.5 * (h + h.T)
     return float(np.linalg.norm(h, 2))
+
+
+def _unit_ball_points(dim: int, n: int) -> Array:
+    """Deterministic low-discrepancy points in the closed unit ball."""
+    from scipy.stats import qmc  # deferred: scipy.stats is slow to import
+
+    eng = qmc.Halton(d=dim, seed=0)
+    pts = 2.0 * eng.random(n) - 1.0
+    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts / np.maximum(norms, 1.0)
 
 
 def nlp_hessian_bound(flow: NlpFlow, w: Array, r: float) -> float:

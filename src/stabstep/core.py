@@ -32,7 +32,7 @@ class ControllerError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """A required estimator, bound, or flag is missing or inconsistent."""
+    """A required bound, flag or setting is missing or inconsistent."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +51,6 @@ class VectorField:
         Maps a state vector of shape (dim,) to the derivative vector.
     jacobian : callable, optional
         Df(x); enables Newton iterations for implicit stage equations.
-    gamma : callable, optional
-        Nondecreasing growth bound with |f(x)| <= |x| * gamma(|x|).
-        Takes the scalar |x|.
-    local_lipschitz : callable, optional
-        L(x) dominating the Lipschitz constant of f on the ball
-        {y : |y - x| <= lam*|x|} for the ball fraction lam in use.
     linear_matrix : ndarray, optional
         Set when f(x) = A x.  `implicit.implicit_euler_step` then solves
         (I - hA) Y = x directly, and `rk_increment` skips its rebuilt-state
@@ -66,8 +60,6 @@ class VectorField:
     dim: int
     f: Callable[[Array], Array]
     jacobian: Optional[Callable[[Array], Array]] = None
-    gamma: Optional[Callable[[float], float]] = None
-    local_lipschitz: Optional[Callable[[Array], float]] = None
     linear_matrix: Optional[Array] = None
 
     def __call__(self, x: Array) -> Array:
@@ -75,17 +67,14 @@ class VectorField:
 
 
 def linear_field(a: Array) -> VectorField:
-    """Wrap the linear field f(x) = A x with exact growth and Lipschitz bounds."""
+    """Wrap the linear field f(x) = A x, with its Jacobian and matrix."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError("linear field needs a square matrix")
-    norm_a = float(np.linalg.norm(a, 2))
     return VectorField(
         dim=a.shape[0],
         f=lambda x: a @ x,
         jacobian=lambda x: a,
-        gamma=lambda s: norm_a,
-        local_lipschitz=lambda x: norm_a,
         linear_matrix=a,
     )
 
@@ -102,10 +91,8 @@ class ButcherTableau:
     increment is F(h, x) = sum_i b[i] f(Y_i).  Construction enforces
     consistency (sum(b) == 1) and refuses every implicit tableau but
     implicit Euler, a = [[1]], the one `rk_increment` solves.  The
-    `explicit` flag (strict lower-triangularity of `a`) and `a_norm` (max
-    absolute row sum of `a`, the stage-contraction radius scale) are
-    computed there too; they take no part in the constructor, repr or
-    equality.
+    `explicit` flag (strict lower-triangularity of `a`) is computed there
+    too; it takes no part in the constructor, repr or equality.
     """
 
     name: str
@@ -113,7 +100,6 @@ class ButcherTableau:
     b: Array
     order: int
     explicit: bool = _field(init=False, repr=False, compare=False)
-    a_norm: float = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -129,8 +115,6 @@ class ButcherTableau:
         object.__setattr__(self, "explicit", bool(np.all(np.triu(a) == 0.0)))
         if not (self.explicit or np.array_equal(a, [[1.0]])):
             raise ConfigurationError("the one implicit tableau is implicit Euler")
-        object.__setattr__(self, "a_norm",
-                           float(np.max(np.sum(np.abs(a), axis=1))))
 
     @property
     def stages(self) -> int:
@@ -160,103 +144,6 @@ RK4 = ButcherTableau(
     [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
     order=4,
 )
-
-TABLEAUS = {
-    t.name: t for t in (EULER, IMPLICIT_EULER, HEUN, IMPROVED_POLYGON, KUTTA3, RK4)
-}
-
-
-# ---------------------------------------------------------------------------
-# configuration records
-
-_NORM_FLOOR = 1e-14  # a state this small counts as the origin
-
-
-@dataclass(frozen=True)
-class StepBoundConfig:
-    """Knobs of the state-dependent step bound (`default_phi`, `growth_bound`).
-
-    r is the bound's step cap, lambda_ball the ball fraction in (0, 1) used
-    by the bound and by numeric Lipschitz estimation.
-    """
-
-    r: float = 1.0
-    lambda_ball: float = 0.5
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ConfigurationError("r must be positive")
-        if not 0.0 < self.lambda_ball < 1.0:
-            raise ConfigurationError("lambda_ball must lie in (0, 1)")
-
-
-# ---------------------------------------------------------------------------
-# numeric estimators (sampled, conservative, not certified)
-
-_N_SAMPLES = 64  # sample points per estimate
-
-
-def _unit_ball_points(dim: int, n: int) -> Array:
-    """Deterministic low-discrepancy points in the closed unit ball."""
-    from scipy.stats import qmc  # deferred: scipy.stats is slow to import
-
-    eng = qmc.Halton(d=dim, seed=0)
-    pts = 2.0 * eng.random(n) - 1.0
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts / np.maximum(norms, 1.0)
-
-
-def estimate_local_lipschitz(field: VectorField, x: Array, lam: float) -> float:
-    """Sampled two-point Lipschitz quotient of f over {y : |y-x| <= lam|x|}.
-
-    The maximum quotient over all pairs of 64 sample points and x is
-    inflated by a factor of 2.  The result is a heuristic, not a certified
-    bound.
-    """
-    x = np.asarray(x, dtype=float)
-    radius = lam * float(np.linalg.norm(x))
-    if radius == 0.0:
-        radius = lam  # degenerate ball at the origin; probe a unit-scale box
-    pts = x + radius * _unit_ball_points(field.dim, _N_SAMPLES)
-    pts = np.vstack([x, pts])
-    vals = np.array([field(p) for p in pts])
-    diff_x = pts[:, None, :] - pts[None, :, :]
-    diff_f = vals[:, None, :] - vals[None, :, :]
-    dx = np.linalg.norm(diff_x, axis=2)
-    df = np.linalg.norm(diff_f, axis=2)
-    mask = dx > 1e-12 * max(1.0, float(np.linalg.norm(x)))
-    if not mask.any():
-        return 0.0
-    return 2.0 * float(np.max(df[mask] / dx[mask]))
-
-
-def estimate_gamma(field: VectorField, s: float) -> float:
-    """Sampled bound g with |f(y)| <= |y| g(s) for |y| <= s, inflated by 2."""
-    if s <= 0.0:
-        s = 1.0
-    dirs = _unit_ball_points(field.dim, _N_SAMPLES)
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = dirs / np.maximum(norms, 1e-12)
-    best = 0.0
-    for scale in (s, 0.5 * s, 0.25 * s, 0.125 * s):
-        for d in dirs:
-            y = scale * d
-            ny = float(np.linalg.norm(y))
-            if ny > 0:
-                best = max(best, float(np.linalg.norm(field(y))) / ny)
-    return 2.0 * best
-
-
-def _lipschitz_at(field: VectorField, x: Array, cfg: StepBoundConfig) -> float:
-    if field.local_lipschitz is not None:
-        return float(field.local_lipschitz(np.asarray(x, dtype=float)))
-    return estimate_local_lipschitz(field, x, cfg.lambda_ball)
-
-
-def _gamma_at(field: VectorField, s: float) -> float:
-    if field.gamma is not None:
-        return float(field.gamma(s))
-    return estimate_gamma(field, s)
 
 
 # ---------------------------------------------------------------------------
@@ -369,48 +256,6 @@ def _check_rebuilt_state(
         )
 
 
-def default_phi(
-    field: VectorField, tableau: ButcherTableau, cfg: StepBoundConfig, x: Array
-) -> float:
-    """Step bound guaranteeing solvable, ball-confined stage equations.
-
-    Returns min(lam / (|A| (L(x) + g(|x|))), r) where |A| is the tableau's
-    max absolute row sum; for |A| = 0 (explicit Euler) the bound is just r.
-    """
-    anorm = tableau.a_norm
-    if anorm == 0.0:
-        return cfg.r
-    x = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(x))
-    if nx < _NORM_FLOOR:
-        return cfg.r
-    lip = _lipschitz_at(field, x, cfg)
-    grow = _gamma_at(field, nx)
-    denom = anorm * (lip + grow)
-    if denom <= 0.0:
-        return cfg.r
-    return min(cfg.lambda_ball / denom, cfg.r)
-
-
-def growth_bound(
-    field: VectorField, tableau: ButcherTableau, cfg: StepBoundConfig
-) -> Callable[[float], float]:
-    """Callable M with |x + h F(h, x)| <= |x| M(|x|) for h in [0, default_phi(x)].
-
-    Valid because default_phi confines every stage to the lambda-ball
-    around x, so each stage derivative is bounded through gamma at the
-    inflated radius (1 + lambda)|x|, and h never exceeds r.
-    """
-    babs = float(np.sum(np.abs(tableau.b)))
-    lam = cfg.lambda_ball
-
-    def bound(y: float) -> float:
-        g = _gamma_at(field, (1.0 + lam) * y)
-        return 1.0 + cfg.r * (1.0 + lam) * babs * g
-
-    return bound
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -500,6 +345,9 @@ def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
     """Rows tau,h,x_0,...,x_{n-1}; the final row carries h = 0."""
     cols = [f"x_{j}" for j in range(traj.dim)]
     write_csv(path, ["tau", "h", *cols], _node_rows(traj))
+
+
+_NORM_FLOOR = 1e-14  # a state this small counts as the origin
 
 
 class ConstantController:

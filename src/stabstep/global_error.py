@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -147,38 +147,6 @@ def defect_orders(field: VectorField, x: Array) -> list[tuple]:
         slope = float(np.polyfit(np.log(hs), np.log(ds), 1)[0])
         out.append((tab, hs, ds, slope))
     return out
-
-
-def estimate_increment_lipschitz(
-    field: VectorField,
-    tableau: ButcherTableau,
-    x0: Array,
-    radius: float,
-    r: float,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Sampled bound L with |F(h,z) - F(h,x)| <= L|z - x| near x0.
-
-    Quotients are maximized over 64 random pairs in the ball of the given
-    radius and steps h in [0, r], then inflated by 2.  Heuristic only.
-    """
-    rng = rng or np.random.default_rng(0)
-    x0 = np.asarray(x0, dtype=float)
-    best = 0.0
-    hs = [0.0, 0.25 * r, 0.5 * r, 0.75 * r, r]
-    for _ in range(64):
-        u = rng.standard_normal(field.dim)
-        w = rng.standard_normal(field.dim)
-        a = x0 + radius * u / max(np.linalg.norm(u), 1e-12) * rng.random()
-        b = x0 + radius * w / max(np.linalg.norm(w), 1e-12) * rng.random()
-        gap = float(np.linalg.norm(a - b))
-        if gap < 1e-10:
-            continue
-        for h in hs:
-            fa = rk_increment(tableau, field, a, h)
-            fb = rk_increment(tableau, field, b, h)
-            best = max(best, float(np.linalg.norm(fa - fb)) / gap)
-    return 2.0 * best
 
 
 def _compliant_blocks(

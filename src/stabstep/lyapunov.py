@@ -11,6 +11,7 @@ Euler with a Hessian, linear systems with quadratic V).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as _field, replace
 from typing import Callable, Optional
 
@@ -25,8 +26,6 @@ from .core import (
     HybridTrajectory,
     StageSolveError,
     VectorField,
-    _unit_ball_points,
-    reference_solve,
     rk_increment,
     write_csv,
 )
@@ -174,8 +173,8 @@ def halving_controller(
     either h_init was absurdly large or the Lyapunov pairing is invalid
     near x.
     """
-    if h_init <= 0:
-        raise ConfigurationError("h_init must be positive")
+    if not 0.0 < h_init < math.inf:
+        raise ConfigurationError("h_init must be positive and finite")
     terms = state_terms(lyap, field, x)
     h = float(h_init)
     for k in range(_MAX_HALVINGS + 1):
@@ -230,7 +229,10 @@ def euler_q_phi(
     curvature obstruction and the cap r is returned.  terms, when given,
     must be state_terms(lyap, field, x); its f(x) and grad V . f then serve
     the curvature grid too, and the decrease test of the chosen step.
+    The cap r must be positive and finite: min(h, nan) would be h.
     """
+    if not 0.0 < r < math.inf:
+        raise ConfigurationError("r must be positive and finite")
     x = np.asarray(x, dtype=float)
     fx, _, w = terms or state_terms(lyap, field, x)
     if w >= 0.0:
@@ -301,45 +303,6 @@ def linear_phi(a: Array, p: Array, x: Array, lam: float, r: float) -> float:
     if den <= 0.0:
         return r
     return min(-(1.0 - lam) * num / den, r)
-
-
-def order_p_phi(
-    lyap: LyapunovFunction,
-    tableau: ButcherTableau,
-    field: VectorField,
-    x: Array,
-    lam: float,
-    r: float,
-) -> float:
-    """Sampled order-p step bound for a general tableau.  Not certified.
-
-    Writes x + hF(h,x) = z(h,x) - h*d(h,x) for the defect d and accepts h
-    once the Lipschitz error term l_V * C * h^{p+1} is dominated by the
-    flow decrease (1-lam) * h * W(x).  C is estimated from a 9-point defect
-    grid against the reference flow, l_V from 32 gradient samples on a ball.
-    """
-    x = np.asarray(x, dtype=float)
-    w = -_lie_derivative(lyap, field, x)
-    if w <= 0.0:
-        raise ConfigurationError("flow decrease rate must be positive at x")
-    p = tableau.order
-    c_est = 0.0
-    for j in range(1, 10):
-        hj = r * j / 9
-        try:
-            incr = rk_increment(tableau, field, x, hj)
-        except StageSolveError:
-            continue
-        z = reference_solve(field, x, hj, 1e-12).final_state
-        c_est = max(c_est, float(np.linalg.norm(z - x - hj * incr)) / hj ** (p + 1))
-    if c_est == 0.0:
-        return r
-    c_est *= 2.0
-    radius = max(float(np.linalg.norm(x)), 1.0)
-    pts = x + radius * _unit_ball_points(field.dim, 32)
-    l_v = max(float(np.linalg.norm(lyap.gradient(pt))) for pt in pts)
-    l_v = max(1.5 * l_v, 1e-30)
-    return min(((1.0 - lam) * w / (l_v * c_est)) ** (1.0 / p), r)
 
 
 # ---------------------------------------------------------------------------

@@ -72,25 +72,6 @@ class TestFieldValues:
                 fd[:, j] = (f(x + e) - f(x - e)) / (2.0 * eps)
             np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-7)
 
-    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "sys427"])
-    def test_growth_and_lipschitz_bounds_hold(self, systems, name):
-        """Sample |f| against |x| gamma(|x|) and J against L on the ball."""
-        f = systems[name].field
-        rng = np.random.default_rng(62)
-        for _ in range(25):
-            x = rng.normal(size=2) * rng.uniform(0.1, 5.0)
-            nx = np.linalg.norm(x)
-            assert np.linalg.norm(f(x)) <= nx * f.gamma(nx) * (1 + 1e-12)
-            lip = f.local_lipschitz(x)
-            for _ in range(8):
-                y = x + rng.normal(size=2) * 0.25 * nx
-                if np.linalg.norm(y - x) > 0.5 * nx:
-                    continue
-                jn = np.linalg.norm(f.jacobian(y), 2) if f.jacobian \
-                    else None
-                if jn is not None:
-                    assert jn <= lip * (1 + 1e-9)
-
     def test_lie_derivatives(self, systems):
         x = np.array([1.0, 2.0])
 

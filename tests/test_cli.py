@@ -37,13 +37,21 @@ def test_param_override(tmp_path, capsys):
     assert "t_final=3.798" in out
 
 
-@pytest.mark.parametrize("name", ["nlp-qp", "stiff-6.14"])
-def test_bad_lambda_is_named(name, tmp_path, capsys):
-    # checked before the first step, not reported as a step-size fault
-    code, out, _ = run_cli(["run", name, "--lambda", "1.0",
+@pytest.mark.parametrize("name, flag, value, message", [
+    pytest.param("nlp-qp", "lambda", "1.0", "lam must lie in (0, 1)",
+                 id="nlp-qp"),
+    pytest.param("stiff-6.14", "lambda", "1.0", "lam must lie in (0, 1)",
+                 id="stiff-6.14"),
+    pytest.param("halving-f1", "h_init", "nan",
+                 "h_init must be positive and finite", id="halving-f1"),
+])
+def test_bad_lambda_is_named(name, flag, value, message, tmp_path, capsys):
+    # a bad setting is refused before the first step and named, not
+    # reported as a step-size fault
+    code, out, _ = run_cli(["run", name, f"--{flag}", value,
                             "--out", str(tmp_path)], capsys)
     assert code == 1
-    assert f"{name}: FAILED (lam must lie in (0, 1))" in out
+    assert f"{name}: FAILED ({message})" in out
 
 
 def test_unknown_experiment_exits_2(capsys):

@@ -1,4 +1,4 @@
-"""Core stepper tests: increments, step bounds, trajectories, oracles."""
+"""Core stepper tests: tableaus, increments, trajectories, oracles."""
 
 import math
 import time
@@ -20,14 +20,8 @@ from stabstep.core import (
     OracleError,
     RK4,
     StageSolveError,
-    StepBoundConfig,
-    TABLEAUS,
     VectorField,
     advance,
-    default_phi,
-    estimate_gamma,
-    estimate_local_lipschitz,
-    growth_bound,
     linear_field,
     reference_at_times,
     reference_solve,
@@ -40,7 +34,7 @@ M1 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 
 
 def scalar_decay():
-    """x' = -x in one dimension, with exact bounds."""
+    """x' = -x in one dimension."""
     return linear_field(np.array([[-1.0]]))
 
 
@@ -57,17 +51,6 @@ class TestTableaus:
         for tab in (EULER, HEUN, IMPROVED_POLYGON, KUTTA3, RK4):
             assert tab.explicit
         assert not IMPLICIT_EULER.explicit
-
-    def test_a_norm_is_max_row_sum(self):
-        assert EULER.a_norm == 0.0
-        assert HEUN.a_norm == 1.0
-        assert IMPLICIT_EULER.a_norm == 1.0
-        # Kutta's third-order scheme has middle row (1/2, 0), last (-1, 2).
-        assert KUTTA3.a_norm == pytest.approx(3.0)
-
-    def test_registry_names_match(self):
-        for name, tab in TABLEAUS.items():
-            assert tab.name == name
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigurationError):
@@ -159,55 +142,6 @@ class TestRkIncrement:
             errs.append(np.linalg.norm(x + h * inc - truth))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope >= order + 0.8
-
-
-class TestStepBounds:
-    def test_explicit_euler_unconstrained(self):
-        cfg = StepBoundConfig(r=7.0)
-        phi = default_phi(scalar_decay(), EULER, cfg, np.array([3.0]))
-        assert phi == 7.0
-
-    def test_heun_bound_on_decay(self):
-        # L = gamma = 1 and |A| = 1, so the ball bound is lam/2.
-        cfg = StepBoundConfig(r=1.0, lambda_ball=0.5)
-        phi = default_phi(scalar_decay(), HEUN, cfg, np.array([2.0]))
-        assert phi == pytest.approx(0.25)
-
-    def test_stiff_bound_scales_with_lipschitz(self):
-        a = np.array([[-1000.0, 0.0], [1.0, -1.0]])
-        cfg = StepBoundConfig(r=1.0, lambda_ball=0.5)
-        phi = default_phi(linear_field(a), HEUN, cfg, np.array([1.0, 1.0]))
-        norm = np.linalg.norm(a, 2)
-        assert phi == pytest.approx(0.5 / (2.0 * norm), rel=1e-12)
-        assert phi == pytest.approx(2.5e-4, rel=1e-3)
-
-    def test_near_origin_returns_cap(self):
-        cfg = StepBoundConfig(r=2.0)
-        phi = default_phi(scalar_decay(), HEUN, cfg, np.array([1e-15]))
-        assert phi == 2.0
-
-    def test_growth_bound_dominates_one_step(self):
-        # |x + h F(h, x)| <= |x| M(|x|) whenever h respects the ball bound.
-        f = linear_field(M1)
-        cfg = StepBoundConfig(r=0.1, lambda_ball=0.5)
-        bound = growth_bound(f, HEUN, cfg)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            x = rng.normal(size=2) * rng.uniform(0.5, 3.0)
-            h = rng.uniform(0.0, default_phi(f, HEUN, cfg, x))
-            inc = rk_increment(HEUN, f, x, h)
-            nx = np.linalg.norm(x)
-            assert np.linalg.norm(x + h * inc) <= nx * bound(nx) * (1 + 1e-12)
-
-    def test_fallback_estimates_are_conservative(self):
-        """Sampled constants must dominate the exact ones for a linear map."""
-        bare = VectorField(dim=2, f=lambda x: M1 @ x)
-        true_norm = np.linalg.norm(M1, 2)
-        lip = estimate_local_lipschitz(bare, np.array([1.0, 2.0]), 0.5)
-        assert lip >= true_norm
-        gam = estimate_gamma(bare, 3.0)
-        # gamma(s) >= sup |f| / |x| over the ball of radius s
-        assert gam >= true_norm
 
 
 class TestAdvance:

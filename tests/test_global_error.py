@@ -24,7 +24,6 @@ from stabstep.global_error import (
     error_bound_finite_time,
     error_budget_step,
     error_report,
-    estimate_increment_lipschitz,
     global_error,
     order_reduction_exponent,
 )
@@ -202,17 +201,6 @@ class TestErrorReport:
         report.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "tau,e_norm,bound_7_4,bound_7_6,rule_step"
-
-
-class TestIncrementLipschitz:
-    def test_dominates_linear_truth(self):
-        rng = np.random.default_rng(53)
-        # Euler increment of a linear field is Lipschitz with constant |A|
-        a = np.array([[-1.0, 1.0], [-1.0, -1.0]])
-        est = estimate_increment_lipschitz(linear_field(a), EULER,
-                                           np.array([1.0, 0.0]), 1.0, 0.5,
-                                           rng=rng)
-        assert est >= np.linalg.norm(a, 2)
 
 
 class TestBudgetValidation:

@@ -14,10 +14,8 @@ from stabstep.core import (
     HybridTrajectory,
     IMPLICIT_EULER,
     StageSolveError,
-    StepBoundConfig,
     VectorField,
     advance,
-    default_phi,
     linear_field,
     rk_increment,
 )
@@ -213,39 +211,7 @@ def test_linear_fields_need_no_rebuilt_state_check(problem):
     core._check_rebuilt_state(f, x, h, incr)
 
 
-def implicit_phi(field, x, lam, r):
-    """The stage-solvability bound min(lam / (L(x) + gamma(|x|)), r) of
-    implicit Euler, whose tableau has |A| = 1."""
-    return default_phi(field, IMPLICIT_EULER,
-                       StepBoundConfig(r=r, lambda_ball=lam), x)
-
-
 class TestGradientSystemPhi:
-    def test_unit_quadratic(self):
-        # V = |x|^2 / 2 gives f = -x with L = gamma = 1, so phi = lam / 2.
-        f = linear_field(-np.eye(2))
-        phi = implicit_phi(f, np.array([1.0, 1.0]), 0.5, 1.0)
-        assert phi == pytest.approx(0.25)
-
-    def test_sampled_fallback_is_conservative(self):
-        # Without analytic constants the sampled estimates inflate the
-        # denominator, so the bound can only shrink.
-        lyap = quadratic_lyapunov(np.eye(2) / 2)
-        f = gradient_system_field(lyap, 2)
-        phi = implicit_phi(f, np.array([1.0, 1.0]), 0.5, 1.0)
-        assert 0.0 < phi <= 0.25
-
-    def test_r_clamps(self):
-        lyap = quadratic_lyapunov(np.eye(2) / 2)
-        f = gradient_system_field(lyap, 2)
-        phi = implicit_phi(f, np.array([1.0, 1.0]), 0.5, 0.01)
-        assert phi == 0.01
-
-    def test_origin_returns_r(self):
-        lyap = quadratic_lyapunov(np.eye(2) / 2)
-        f = gradient_system_field(lyap, 2)
-        assert implicit_phi(f, np.zeros(2), 0.5, 3.0) == 3.0
-
     def test_descent_direction(self):
         lyap = quadratic_lyapunov(np.array([[2.0, 0.0], [0.0, 0.5]]))
         f = gradient_system_field(lyap, 2)

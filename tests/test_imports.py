@@ -1,6 +1,7 @@
 """Import-time guards, each run in a fresh interpreter: what `import
 stabstep` loads, and the package names the benchmark harness needs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_import_leaves_out_scipy_stats():
-    # scipy.stats is slow to import, and only the sampled estimators use it
+    # scipy.stats is slow to import, and only nlp_hessian_bound uses it
     proc = run_python("import sys, stabstep\n"
                       "print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -58,6 +59,35 @@ def test_public_names_resolve_and_none_is_a_module():
     assert len(stabstep.__all__) == len(set(stabstep.__all__))
     for name in stabstep.__all__:
         assert not isinstance(getattr(stabstep, name), types.ModuleType), name
+
+
+# Public names that no run, criterion or benchmark calls, kept on purpose.
+UNCALLED_PUBLIC_NAMES = {
+    "check_midpoint_convexity": "certificate check: V's convex flag",
+    "convex_decrease_check": "certificate check: implicit Euler decrease",
+    "euler_f2_limit_radius": "closed-form oracle: Euler's cycle on f2",
+    "gradient_system_field": "the nonlinear field of the implicit tests",
+}
+
+
+def test_every_public_name_is_used():
+    """Each name in stabstep.__all__ is read somewhere in the package
+    modules or in bench/, or is listed above: a public name that only
+    tests call certifies nothing.  The files are parsed, not imported."""
+    import stabstep
+
+    files = [p for p in (ROOT / "src" / "stabstep").glob("*.py")
+             if p.name != "__init__.py"]
+    files += (ROOT / "bench").glob("*.py")
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = set(stabstep.__all__) - used
+    assert unused == set(UNCALLED_PUBLIC_NAMES), sorted(unused)
 
 
 def test_global_error_submodule_is_not_shadowed():

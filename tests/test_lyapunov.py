@@ -36,7 +36,6 @@ from stabstep.lyapunov import (
     k1_bound_euler,
     k1_phi,
     linear_phi,
-    order_p_phi,
     quadratic_lyapunov,
 )
 
@@ -135,6 +134,13 @@ class TestHalvingController:
             halving_controller(quadratic_lyapunov(np.eye(1)), EULER, grow,
                                np.array([1.0]), 1.0, 0.5)
 
+    @pytest.mark.parametrize("h_init", [math.nan, math.inf])
+    def test_non_finite_h_init_refused(self, h_init):
+        # refused before the first decrease test, not after 41 of them
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            halving_controller(vsq(), EULER, spiral(), np.array([1.0, 0.0]),
+                               h_init, 0.5)
+
     def test_sound_after_halving(self):
         """Whenever the controller halves, the doubled step must fail."""
         rng = np.random.default_rng(3)
@@ -185,6 +191,12 @@ class TestCurvatureBounds:
     def test_origin_returns_cap(self):
         phi = euler_q_phi(vsq(), spiral(), np.zeros(2), 0.5, 2.5)
         assert phi == 2.5
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+    def test_cap_must_be_positive_and_finite(self, r):
+        # min(h, nan) is h: a NaN cap would silently mean no cap at all
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            euler_q_phi(vsq(), spiral(), np.array([1.0, 1.0]), 0.5, r)
 
 
 class TestLinearPhi:
@@ -514,15 +526,3 @@ class TestEulerLawAgreement:
                 euler_q_phi(lyap, field, x, lam, 1e9),
                 k1_phi(lyap, field, x, lam, 1e9))
         assert max(laws) - min(laws) <= 1e-12 * max(laws)
-
-
-class TestOrderPPhi:
-    def test_smoke_second_order(self):
-        """The sampled bound is positive, capped, and actually accepted."""
-        f = spiral()
-        lyap = vsq()
-        x = np.array([1.0, 0.5])
-        phi = order_p_phi(lyap, HEUN, f, x, 0.5, 1.0)
-        assert 0.0 < phi <= 1.0
-        cert = decrease_test(lyap, HEUN, f, x, phi, 0.5)
-        assert cert.accepted
