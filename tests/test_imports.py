@@ -1,5 +1,6 @@
-"""Import-time guards, each run in a fresh interpreter: what `import
-stabstep` loads, and the package names the benchmark harness needs."""
+"""Import-time guards: what `import stabstep` loads and the package names
+the benchmark harness needs, each checked in a fresh interpreter, and that
+every public name is read by the package or the benchmark."""
 
 import ast
 import os
