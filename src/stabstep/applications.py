@@ -28,9 +28,11 @@ from .core import (
 )
 from .lyapunov import (
     LyapunovFunction,
+    check_cap,
     check_lam,
     decrease_test,
     halving_controller,
+    state_terms,
 )
 
 _M1 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
@@ -159,6 +161,7 @@ def stiff_experiment(
     if n_steps < 1:
         raise ConfigurationError("n_steps must be at least 1")
     check_lam(lam)
+    check_cap(r)
     x1, x2 = float(x0[0]), float(x0[1])
     if x1 == 0.0 and x2 == 0.0:
         raise ConfigurationError("x0 must be nonzero")
@@ -200,9 +203,11 @@ def max_decrease_step(
     rejected.
     """
     x = np.asarray(x, dtype=float)
+    terms = state_terms(lyap, field, x)
 
     def ok(h: float) -> bool:
-        return decrease_test(lyap, tableau, field, x, h, lam).accepted
+        return decrease_test(lyap, tableau, field, x, h, lam,
+                             terms=terms).accepted
 
     hi = 1.0 / 64.0
     shrink = 0
@@ -455,7 +460,7 @@ def nlp_solve(
     ControllerError.
     """
     check_lam(lam)
-    certified = True
+    check_cap(r)
     residual = math.nan
 
     def converged(w: Array) -> bool:
@@ -464,14 +469,11 @@ def nlp_solve(
         return residual < tol
 
     def controller(w: Array, tau: float):
-        nonlocal certified
         p = nlp_hessian_bound(flow, w, r)
         if p <= 0:
             raise ConfigurationError("Hessian bound must be positive")
         h = min(2.0 * (1.0 - lam) / p, r)
         cert = halving_controller(flow.lyap, EULER, flow.field, w, h, lam)
-        if cert.halvings > 0:
-            certified = False
         return cert.h, cert
 
     v0 = flow.lyap(np.asarray(w0, dtype=float))
@@ -483,6 +485,7 @@ def nlp_solve(
             f"no convergence in {_NLP_MAX_ITER} iterations; last residual "
             f"{residual:.3e}, last certificate {last}"
         )
+    certified = all(c.halvings == 0 for c in traj.certificates)
     return NlpResult(w=traj.final_state, iterations=traj.steps.size,
                      residual=residual, certified=certified,
                      v_history=(v0,) + tuple(c.lhs for c in traj.certificates),

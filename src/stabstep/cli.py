@@ -2,22 +2,20 @@
 
 Usage:
     stabstep run <experiment> [--param value ...] [--out DIR] [--seed N]
-    stabstep run --config FILE [--out DIR] [--seed N]
     stabstep run --list
     stabstep verify [--filter TEXT] [--seed N]
 
 Exit codes: 0 success, 1 experiment or criterion failure, 2 usage error,
 which includes a negative seed.
-Config files are flat INI: each section names an experiment and its keys
-override that experiment's defaults; a [global] section may set out/seed,
-which --out/--seed override.  `verify` takes no config file: its
-tolerances are the pinned `acceptance.AcceptanceTolerances`.
+`run` runs one experiment; its flags override that experiment's defaults.
+Each experiment draws from its own stream of the seed, so a shell loop of
+`run` calls writes what each call writes alone.  No flag sets a `verify`
+tolerance: they are the pinned `acceptance.AcceptanceTolerances`.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import sys
 from dataclasses import dataclass
@@ -329,23 +327,9 @@ def _parse_overrides(tokens: list[str]) -> dict:
     return params
 
 
-def _load_config(path: str):
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    return parser
-
-
-def _seed(value, source: str) -> int:
-    try:
-        seed = int(value)
-    except ValueError:
-        raise UsageError(f"{source} must be an integer, got {value!r}") \
-            from None
+def _seed(seed: int) -> int:
     if seed < 0:
-        raise UsageError(f"{source} must be non-negative, got {seed}")
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     return seed
 
 
@@ -372,59 +356,27 @@ def _cmd_run(args, extra: list[str]) -> int:
             print(f"{exp.name:18s} {exp.description} [{keys or 'no params'}]")
         return 0
 
-    jobs: list[tuple[Experiment, dict]] = []
-    settings = {}  # [global] out/seed, which an explicit flag overrides
-    if args.config:
-        if args.name:
-            raise UsageError(f"give {args.name!r} or --config, not both")
-        parser = _load_config(args.config)
-        for section in parser.sections():
-            if section == "global":
-                settings = parser[section]
-                unknown = sorted(set(settings) - {"out", "seed"})
-                if unknown:
-                    raise UsageError(f"[global] takes out and seed, not {unknown}")
-                continue
-            if section not in _BY_NAME:
-                raise UsageError(f"unknown experiment in config: {section}")
-            jobs.append((
-                _BY_NAME[section],
-                {k: _coerce(v) for k, v in parser[section].items()},
-            ))
-        if extra:
-            raise UsageError("--param overrides cannot combine with --config")
-    else:
-        if not args.name:
-            raise UsageError("run needs an experiment name, --config, "
-                             "or --list")
-        if args.name not in _BY_NAME:
-            known = ", ".join(sorted(_BY_NAME))
-            raise UsageError(f"unknown experiment {args.name!r} "
-                             f"(known: {known})")
-        jobs.append((_BY_NAME[args.name], _parse_overrides(extra)))
-
-    out = Path(settings.get("out", "out") if args.out is None else args.out)
-    seed = (_seed(settings.get("seed", _DEFAULT_SEED), "[global] seed")
-            if args.seed is None else _seed(args.seed, "--seed"))
-    if not jobs:
-        print("nothing selected")
-        return 0
-
-    failures = 0
-    for exp, overrides in jobs:
-        try:
-            summary = _run_experiment(exp, overrides, out, seed)
-            print(f"{exp.name}: {summary}")
-        except UsageError:
-            raise
-        except Exception as exc:  # isolate per experiment
-            failures += 1
-            print(f"{exp.name}: FAILED ({exc})")
-    return 1 if failures else 0
+    if not args.name:
+        raise UsageError("run needs an experiment name or --list")
+    if args.name not in _BY_NAME:
+        known = ", ".join(sorted(_BY_NAME))
+        raise UsageError(f"unknown experiment {args.name!r} (known: {known})")
+    exp = _BY_NAME[args.name]
+    overrides = _parse_overrides(extra)
+    seed = _seed(args.seed)
+    try:
+        summary = _run_experiment(exp, overrides, Path(args.out), seed)
+    except UsageError:
+        raise
+    except Exception as exc:
+        print(f"{exp.name}: FAILED ({exc})")
+        return 1
+    print(f"{exp.name}: {summary}")
+    return 0
 
 
 def _cmd_verify(args) -> int:
-    results = acceptance.run_all(args.filter, _seed(args.seed, "--seed"))
+    results = acceptance.run_all(args.filter, _seed(args.seed))
     if not results:
         print("nothing selected")
         return 0
@@ -435,21 +387,22 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabstep",
         description="certified-step ODE experiments and acceptance checks",
     )
     sub = parser.add_subparsers(dest="command")
 
-    run_p = sub.add_parser("run", help="execute a named experiment")
+    run_p = sub.add_parser(
+        "run", help="run one named experiment; --key value overrides a default")
     run_p.add_argument("name", nargs="?", help="experiment name")
     run_p.add_argument("--list", action="store_true",
                        help="print the experiment catalog")
-    run_p.add_argument("--config", help="INI file of experiment sections")
-    run_p.add_argument("--out", help="output directory (default out)")
-    run_p.add_argument("--seed", type=int,
-                       help=f"64-bit seed, split per experiment "
+    run_p.add_argument("--out", default="out",
+                       help="output directory (default out)")
+    run_p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
+                       help=f"non-negative seed, split per experiment "
                             f"(default {_DEFAULT_SEED})")
 
     ver_p = sub.add_parser(
@@ -458,7 +411,11 @@ def main(argv=None) -> int:
     ver_p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                        help=f"non-negative seed, split per criterion "
                             f"(default {_DEFAULT_SEED})")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args, extra = parser.parse_known_args(argv)
     try:
         if args.command == "run":

@@ -47,6 +47,13 @@ def check_lam(lam: float) -> None:
         raise ConfigurationError("lam must lie in (0, 1)")
 
 
+def check_cap(r: float) -> None:
+    """Refuse a step cap r that is not positive and finite: min(h, nan) is
+    h, so a NaN cap would mean no cap at all."""
+    if not 0.0 < r < math.inf:
+        raise ConfigurationError("r must be positive and finite")
+
+
 @dataclass(frozen=True)
 class LyapunovFunction:
     """Positive definite V with its gradient and optional curvature data.
@@ -229,10 +236,8 @@ def euler_q_phi(
     curvature obstruction and the cap r is returned.  terms, when given,
     must be state_terms(lyap, field, x); its f(x) and grad V . f then serve
     the curvature grid too, and the decrease test of the chosen step.
-    The cap r must be positive and finite: min(h, nan) would be h.
     """
-    if not 0.0 < r < math.inf:
-        raise ConfigurationError("r must be positive and finite")
+    check_cap(r)
     x = np.asarray(x, dtype=float)
     fx, _, w = terms or state_terms(lyap, field, x)
     if w >= 0.0:
@@ -271,6 +276,7 @@ def k1_phi(
     r: float,
 ) -> float:
     """Explicit-Euler step from the quadratic remainder bound K_1."""
+    check_cap(r)
     x = np.asarray(x, dtype=float)
     w = _lie_derivative(lyap, field, x)
     if w >= 0.0:
@@ -289,6 +295,7 @@ def linear_phi(a: Array, p: Array, x: Array, lam: float, r: float) -> float:
     Requires the decrease direction x'(A'P + PA)x < 0 at the given x; a zero
     denominator (Ax = 0) imposes no restriction and returns r.
     """
+    check_cap(r)
     a = np.asarray(a, dtype=float)
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -309,6 +309,12 @@ class TestNlpFlow:
                 pytest.raises(FloatingPointError, match="tau=0.0"):
             nlp_solve(flow, np.array([np.nan, 0.0, 0.0]), tol=1e-7)
 
+    @pytest.mark.parametrize("r", [math.nan, -1.0])
+    def test_bad_cap_is_named(self, r):
+        # r = -1 used to surface as the halving start step's fault
+        with pytest.raises(ConfigurationError, match="r must be positive"):
+            nlp_solve(self.pinned(), np.zeros(3), r=r, tol=1e-7)
+
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(applications, "_NLP_MAX_ITER", 3)
         with pytest.raises(ControllerError, match="no convergence in 3"):

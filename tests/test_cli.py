@@ -1,11 +1,13 @@
-"""Command-line behavior: catalog, runs, config files, verify, exit codes."""
+"""Command-line behavior: catalog, one experiment per run, verify, exit
+codes, and the pinned set of options."""
 
+import argparse
 import subprocess
 import sys
 
 import pytest
 
-from stabstep.cli import main
+from stabstep.cli import _parser, main
 
 
 def run_cli(argv, capsys):
@@ -44,6 +46,8 @@ def test_param_override(tmp_path, capsys):
                  id="stiff-6.14"),
     pytest.param("halving-f1", "h_init", "nan",
                  "h_init must be positive and finite", id="halving-f1"),
+    pytest.param("stiff-6.14", "r", "nan", "r must be positive and finite",
+                 id="stiff-6.14-r"),
 ])
 def test_bad_lambda_is_named(name, flag, value, message, tmp_path, capsys):
     # a bad setting is refused before the first step and named, not
@@ -88,72 +92,37 @@ def test_seed_changes_randomized_output(tmp_path, capsys):
         != (b / "error-budget-report.csv").read_bytes()
 
 
-def test_config_file_drives_runs(tmp_path, capsys):
-    cfg = tmp_path / "exp.ini"
-    out_dir = tmp_path / "results"
-    cfg.write_text(
-        f"[global]\nout = {out_dir}\nseed = 11\n\n"
-        "[advection]\nn = 4\nsteps = 20\n\n"
-        "[stiff-6.14]\nlambda = 0.6\n"
-    )
-    code, out, _ = run_cli(["run", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert "advection:" in out
-    assert "stiff-6.14: t_final=12.713" in out
-    assert (out_dir / "advection-chain.csv").exists()
-
-
-def test_explicit_flags_override_config_global(tmp_path, capsys,
-                                              monkeypatch):
-    # flag, then [global], then default; a flag equal to its default
-    # still counts as given
+def test_run_config_file_exits_2(tmp_path, capsys, monkeypatch):
+    # run takes no settings file: one experiment per call, its flags only
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text("[global]\nout = results\nseed = 11\n\n"
-                   "[error-budget]\nt_end = 1.0\n")
-    csv = "error-budget-report.csv"
-    assert run_cli(["run", "error-budget", "--t_end", "1.0",
-                    "--out", "ref"], capsys)[0] == 0
-    assert run_cli(["run", "--config", str(cfg)], capsys)[0] == 0
-    assert (tmp_path / "results" / csv).read_bytes() \
-        != (tmp_path / "ref" / csv).read_bytes()
-    assert run_cli(["run", "--config", str(cfg), "--out", "out",
-                    "--seed", "20240501"], capsys)[0] == 0
-    assert (tmp_path / "out" / csv).read_bytes() \
-        == (tmp_path / "ref" / csv).read_bytes()
-
-
-def test_config_with_unknown_section_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[no-such-experiment]\nfoo = 1\n")
-    code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+    (tmp_path / "f.ini").write_text("[advection]\nsteps = 2\n")
+    code, out, err = run_cli(["run", "--config", "f.ini"], capsys)
     assert code == 2
-    assert "no-such-experiment" in err
-
-
-def test_config_with_a_malformed_global_seed_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[global]\nout = {tmp_path}\nseed = abc\n\n"
-                   "[advection]\nsteps = 2\n")
-    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert err.startswith("error:") and "'abc'" in err
+    assert err.startswith("error:")
     assert out == ""
-    cfg.write_text("[global]\nseed = abc\n")
-    assert run_cli(["run", "--config", str(cfg)], capsys)[0] == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["f.ini"]
 
 
-def test_config_with_an_unknown_global_key_exits_2(tmp_path, capsys):
-    # a misspelt seed must not run silently at the default seed
-    cfg = tmp_path / "bad.ini"
-    out_dir = tmp_path / "results"
-    cfg.write_text(f"[global]\nout = {out_dir}\nseeed = 5\n\n"
-                   "[advection]\nsteps = 2\n")
-    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert err.startswith("error:") and "seeed" in err
-    assert out == ""
-    assert not out_dir.exists()
+def test_a_run_does_not_depend_on_an_earlier_run(tmp_path, capsys):
+    # each experiment draws from SeedSequence([seed, catalog index]), so a
+    # shell loop of runs writes what each run writes alone
+    alone = tmp_path / "alone"
+    shared = tmp_path / "shared"
+    argv = ["run", "error-budget", "--t_end", "2.0", "--seed", "7"]
+    code, solo, _ = run_cli(argv + ["--out", str(alone)], capsys)
+    assert code == 0
+    for first in (["run", "iss-trials", "--trials", "20"],
+                  ["run", "advection", "--steps", "5"]):
+        assert run_cli(first + ["--seed", "7", "--out", str(shared)],
+                       capsys)[0] == 0
+    code, after, _ = run_cli(argv + ["--out", str(shared)], capsys)
+    assert code == 0
+    assert after == solo
+    written = sorted(path.name for path in alone.iterdir())
+    assert written == ["error-budget-report.csv",
+                       "error-budget-trajectory.csv"]
+    for name in written:
+        assert (shared / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_name_with_config_exits_2(tmp_path, capsys):
@@ -197,17 +166,6 @@ def test_verify_takes_no_config_file(tmp_path, capsys):
     assert "criterion" not in out
 
 
-def test_run_config_with_an_acceptance_section_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "acc.ini"
-    cfg.write_text(f"[global]\nout = {tmp_path}\n\n"
-                   "[acceptance]\ndecay_target = 1.0\n\n"
-                   "[advection]\nsteps = 2\n")
-    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert err.startswith("error:") and "acceptance" in err
-    assert out == ""
-
-
 def test_run_negative_seed_flag_exits_2(tmp_path, capsys):
     code, out, err = run_cli(["run", "advection", "--seed", "-1",
                               "--out", str(tmp_path)], capsys)
@@ -215,18 +173,6 @@ def test_run_negative_seed_flag_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "-1" in err
     assert out == ""
     assert not list(tmp_path.iterdir())
-
-
-def test_config_with_a_negative_global_seed_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    out_dir = tmp_path / "results"
-    cfg.write_text(f"[global]\nout = {out_dir}\nseed = -3\n\n"
-                   "[advection]\nsteps = 2\n")
-    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert err.startswith("error:") and "-3" in err
-    assert out == ""
-    assert not out_dir.exists()
 
 
 def test_verify_negative_seed_exits_2(capsys):
@@ -246,6 +192,22 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "halving-f1:" in proc.stdout
     assert "certified=True" in proc.stdout
+
+
+def _options(parser: argparse.ArgumentParser) -> set:
+    return {max(a.option_strings, key=len) if a.option_strings else a.dest
+            for a in parser._actions if a.dest != "help"}
+
+
+def test_command_line_options_are_pinned():
+    """Every option of every command is listed here: adding a knob has to
+    change this test."""
+    (sub,) = [a for a in _parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"run", "verify"}
+    assert _options(sub.choices["run"]) == {"name", "--list", "--out",
+                                            "--seed"}
+    assert _options(sub.choices["verify"]) == {"--filter", "--seed"}
 
 
 def test_no_command_prints_help(capsys):

@@ -192,11 +192,20 @@ class TestCurvatureBounds:
         phi = euler_q_phi(vsq(), spiral(), np.zeros(2), 0.5, 2.5)
         assert phi == 2.5
 
-    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
-    def test_cap_must_be_positive_and_finite(self, r):
+    @pytest.mark.parametrize("law, r", [
+        pytest.param(law, r, id=str(r) if law == "euler_q_phi"
+                     else f"{law}-{r}")
+        for law in ("euler_q_phi", "k1_phi", "linear_phi")
+        for r in (math.nan, math.inf, 0.0, -1.0)])
+    def test_cap_must_be_positive_and_finite(self, law, r):
         # min(h, nan) is h: a NaN cap would silently mean no cap at all
+        x = np.array([1.0, 1.0])
         with pytest.raises(ConfigurationError, match="positive and finite"):
-            euler_q_phi(vsq(), spiral(), np.array([1.0, 1.0]), 0.5, r)
+            if law == "linear_phi":
+                linear_phi(M1, np.eye(2), x, 0.5, r)
+            else:
+                {"euler_q_phi": euler_q_phi, "k1_phi": k1_phi}[law](
+                    vsq(), spiral(), x, 0.5, r)
 
 
 class TestLinearPhi:
