@@ -7,7 +7,9 @@ Usage:
 
 Exit codes: 0 success, 1 experiment or criterion failure, 2 usage error,
 which includes a negative seed.
-`run` runs one experiment; its flags override that experiment's defaults.
+`run` runs one experiment; its flags, before or after its name, override
+that experiment's defaults.  A run that fails before writing anything
+leaves no --out directory behind.
 Each experiment draws from its own stream of the seed, so a shell loop of
 `run` calls writes what each call writes alone.  No flag sets a `verify`
 tolerance: they are the pinned `acceptance.AcceptanceTolerances`.
@@ -16,6 +18,7 @@ tolerance: they are the pinned `acceptance.AcceptanceTolerances`.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -345,8 +348,18 @@ def _run_experiment(exp: Experiment, overrides: dict, out: Path,
     params.update(overrides)
     index = CATALOG.index(exp)
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    created = list(itertools.takewhile(lambda p: not p.exists(),
+                                       (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
-    return exp.runner(params, out, rng)
+    try:
+        return exp.runner(params, out, rng)
+    except Exception:
+        # a run that fails before writing anything leaves no directory
+        for path in created:
+            if any(path.iterdir()):
+                break
+            path.rmdir()
+        raise
 
 
 def _cmd_run(args, extra: list[str]) -> int:
@@ -414,12 +427,36 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_run(parser: argparse.ArgumentParser, argv: list[str],
+               extra: list[str]):
+    """Parse a `run` command line again without its --key value overrides.
+
+    parse_known_args reads the value of an override that stands before the
+    experiment name as the name.  So every unknown --key is taken out with
+    the value after it, the rest is parsed again, and the overrides follow
+    whatever that parse left over, in their order.
+    """
+    unknown = {tok for tok in extra if tok.startswith("--")}
+    kept, overrides = [], []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in unknown:
+            overrides.append(tok)
+            if "=" not in tok:  # a --key=value token is refused later
+                overrides.extend(itertools.islice(tokens, 1))
+        else:
+            kept.append(tok)
+    args, rest = parser.parse_known_args(kept)
+    return args, rest + overrides
+
+
 def main(argv=None) -> int:
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, extra = parser.parse_known_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args, extra)
+            return _cmd_run(*_parse_run(parser, argv, extra))
         if args.command == "verify":
             if extra:
                 raise UsageError(f"unrecognized arguments: {extra}")

@@ -10,6 +10,7 @@ interpolated linearly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as _field
 from typing import Callable, Optional, Sequence
@@ -92,7 +93,9 @@ class ButcherTableau:
     consistency (sum(b) == 1) and refuses every implicit tableau but
     implicit Euler, a = [[1]], the one `rk_increment` solves.  The
     `explicit` flag (strict lower-triangularity of `a`) is computed there
-    too; it takes no part in the constructor, repr or equality.
+    too, and so is `stage_terms`: for each stage row i >= 1, the pair
+    (j, a[i, j]) when a[i, j] is the row's one nonzero coefficient, else
+    None.  Neither takes part in the constructor, repr or equality.
     """
 
     name: str
@@ -100,6 +103,7 @@ class ButcherTableau:
     b: Array
     order: int
     explicit: bool = _field(init=False, repr=False, compare=False)
+    stage_terms: tuple = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -115,6 +119,12 @@ class ButcherTableau:
         object.__setattr__(self, "explicit", bool(np.all(np.triu(a) == 0.0)))
         if not (self.explicit or np.array_equal(a, [[1.0]])):
             raise ConfigurationError("the one implicit tableau is implicit Euler")
+        terms = []
+        for i in range(1, b.size):
+            (nonzero,) = np.nonzero(a[i, :i])
+            terms.append((int(nonzero[0]), float(a[i, nonzero[0]]))
+                         if nonzero.size == 1 else None)
+        object.__setattr__(self, "stage_terms", tuple(terms))
 
     @property
     def stages(self) -> int:
@@ -154,16 +164,34 @@ _STAGE_MAX_ITER = 50
 _STAGE_TOL = 1e-12  # relative to 1 + |x|
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> Array:
+    """The read-only n x n identity that every Newton matrix starts from."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def rk_increment(
     tableau: ButcherTableau, field: VectorField, x: Array, h: float, *, fx=None
 ) -> Array:
     """Increment F(h, x) of the scheme, with F(0, x) = f(x).
 
-    Explicit tableaus evaluate the stages sequentially.  Implicit Euler,
-    the one implicit tableau, solves y = x + h f(y) from y = x by Newton
-    iteration with I - h J(y) when the field has a Jacobian and by
-    fixed-point iteration otherwise, to a residual of 1e-12 (1 + |x|), and
-    returns F = f(y); failure within 50 iterations raises StageSolveError.
+    Explicit tableaus evaluate the stages sequentially.  A stage row with
+    one nonzero coefficient a[i, j] forms a[i, j] k_j + 0.0 instead of the
+    matmul a[i, :i] @ k[:i], and a one-stage tableau with b = [1] returns
+    f(x) + 0.0 instead of b @ k.  For finite stages both are the matmul bit
+    for bit: a matmul sums its products from +0.0, every other product is
+    a zero, and adding zeros to a nonzero sum is exact; the + 0.0 turns a
+    -0.0 into the +0.0 the matmul returns.  (A non-finite earlier stage
+    times a zero coefficient is NaN in the matmul, not in the shortcut;
+    the increment is non-finite either way.)
+
+    Implicit Euler, the one implicit tableau, solves y = x + h f(y) from
+    y = x by Newton iteration with I - h J(y) when the field has a
+    Jacobian and by fixed-point iteration otherwise, to a residual of
+    1e-12 (1 + |x|), and returns F = f(y); failure within 50 iterations
+    raises StageSolveError.
     On a field without `linear_matrix`, the state x + h F rebuilt from the
     converged stage is verified too (`_check_rebuilt_state`).
 
@@ -179,11 +207,18 @@ def rk_increment(
     if h == 0.0:
         return fx
     if tableau.explicit:
-        a, s = tableau.a, tableau.stages
-        k = np.zeros((s, field.dim))
+        terms = tableau.stage_terms
+        if not terms and tableau.b[0] == 1.0:
+            return fx + 0.0
+        a = tableau.a
+        k = np.empty((len(terms) + 1, field.dim))
         k[0] = fx
-        for i in range(1, s):
-            k[i] = field(x + h * (a[i, :i] @ k[:i]))
+        for i, term in enumerate(terms, 1):
+            if term is None:
+                k[i] = field(x + h * (a[i, :i] @ k[:i]))
+            else:
+                j, aij = term
+                k[i] = field(x + h * (aij * k[j] + 0.0))
         return tableau.b @ k
 
     # |r| sums the squares in index order: np.linalg.norm of a 1-D array
@@ -195,12 +230,13 @@ def rk_increment(
             res = y - x - h * fy
             if math.sqrt((res ** 2).sum()) <= tol:
                 break
-            jac = np.eye(x.size) - h * np.asarray(field.jacobian(y), dtype=float)
+            jac = _identity(x.size) - h * np.asarray(field.jacobian(y),
+                                                     dtype=float)
             try:
                 y = y - np.linalg.solve(jac, res)
             except np.linalg.LinAlgError as exc:
                 raise StageSolveError(f"singular stage Jacobian at h={h}") from exc
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise StageSolveError(f"stage Newton iteration diverged at h={h}")
             fy = field(y)
         else:

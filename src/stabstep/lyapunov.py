@@ -12,7 +12,7 @@ Euler with a Hessian, linear systems with quadratic V).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as _field, replace
+from dataclasses import dataclass, field as _field
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,7 +95,7 @@ def quadratic_lyapunov(p: Array) -> LyapunovFunction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecreaseCertificate:
     """Outcome of one decrease test; `accepted` compares lhs against rhs
     with a relative roundoff slack so exact boundary steps pass.
@@ -104,6 +104,8 @@ class DecreaseCertificate:
     are the scheme it was computed under; core.advance takes x_next as the
     next state when it realizes this very step.  All three are None when
     the stage solve failed, and none of them shows in repr or equality.
+    decrease_test makes x_next read-only, so lhs stays V(x_next) and a
+    controller may hand it forward as V at the next node.
     """
 
     x: Array
@@ -124,10 +126,15 @@ def _lie_derivative(lyap: LyapunovFunction, field: VectorField, x: Array) -> flo
     return float(lyap.gradient(x) @ field(x))
 
 
-def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array):
-    """(f(x), V(x), grad V(x) . f(x)): what every decrease test at x shares."""
+def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array,
+                v: Optional[float] = None):
+    """(f(x), V(x), grad V(x) . f(x)): what every decrease test at x shares.
+
+    v, when given, must be V(x), as a certificate whose x_next is x holds
+    it in lhs; V is then not evaluated again.
+    """
     fx = field(x)
-    return fx, lyap(x), float(lyap.gradient(x) @ fx)
+    return fx, lyap(x) if v is None else v, float(lyap.gradient(x) @ fx)
 
 
 def decrease_test(
@@ -138,6 +145,7 @@ def decrease_test(
     h: float,
     lam: float,
     *, terms: Optional[tuple] = None,
+    halvings: int = 0,
 ) -> DecreaseCertificate:
     """Evaluate the Lyapunov decrease condition for one candidate step.
 
@@ -146,6 +154,8 @@ def decrease_test(
     given, must be state_terms(lyap, field, x): a controller testing several
     h at one x evaluates f(x), V(x) and grad V . f once and hands them to
     each test, which then forms the same rhs and increment bit for bit.
+    halvings is recorded in the certificate as the number of halvings that
+    led to h.  The certificate's x_next is read-only.
     """
     if h <= 0:
         raise ConfigurationError("decrease test needs h > 0")
@@ -156,14 +166,13 @@ def decrease_test(
     try:
         incr = rk_increment(tableau, field, x, h, fx=fx)
     except StageSolveError as exc:
-        return DecreaseCertificate(
-            x=x, h=h, lhs=float("nan"), rhs=rhs, accepted=False, reason=str(exc)
-        )
+        return DecreaseCertificate(x, h, math.nan, rhs, False, halvings,
+                                   str(exc))
     x_next = x + h * incr
+    x_next.flags.writeable = False
     lhs = lyap(x_next)
-    accepted = within_slack(lhs, rhs)
-    return DecreaseCertificate(x=x, h=h, lhs=lhs, rhs=rhs, accepted=accepted,
-                               x_next=x_next, tableau=tableau, field=field)
+    return DecreaseCertificate(x, h, lhs, rhs, within_slack(lhs, rhs),
+                               halvings, "", x_next, tableau, field)
 
 
 def halving_controller(
@@ -173,21 +182,23 @@ def halving_controller(
     x: Array,
     h_init: float,
     lam: float,
+    *, terms: Optional[tuple] = None,
 ) -> DecreaseCertificate:
     """First accepted step in {h_init, h_init/2, ...} with its halving count.
 
     Rejecting all of h_init, ..., h_init / 2^40 raises ControllerError:
     either h_init was absurdly large or the Lyapunov pairing is invalid
-    near x.
+    near x.  terms, when given, must be state_terms(lyap, field, x).
     """
     if not 0.0 < h_init < math.inf:
         raise ConfigurationError("h_init must be positive and finite")
-    terms = state_terms(lyap, field, x)
+    terms = terms or state_terms(lyap, field, x)
     h = float(h_init)
     for k in range(_MAX_HALVINGS + 1):
-        cert = decrease_test(lyap, tableau, field, x, h, lam, terms=terms)
+        cert = decrease_test(lyap, tableau, field, x, h, lam, terms=terms,
+                             halvings=k)
         if cert.accepted:
-            return replace(cert, halvings=k)
+            return cert
         h *= 0.5
     raise ControllerError(
         f"no accepted step after {_MAX_HALVINGS} halvings from h={h_init}"
@@ -342,32 +353,37 @@ def certify_trajectory(
     copied from the trajectory's certificates when present.
     """
     check_lam(lam)
+    states = traj.states
+    halvings = ([c.halvings if isinstance(c, DecreaseCertificate) else 0
+                 for c in traj.certificates]
+                or [0] * traj.steps.size)
     rows = []
     first_violation = None
-    ok = True
-    v_next = lyap(traj.states[0])  # each row's V(x_{i+1}) is the next V(x_i)
-    for i in range(traj.steps.size):
-        x = traj.states[i]
-        h = float(traj.steps[i])
+    v_next = lyap(states[0])  # each row's V(x_{i+1}) is the next V(x_i)
+    for i, (tau, h, halv) in enumerate(zip(traj.tau.tolist(),
+                                           traj.steps.tolist(), halvings)):
         v_here = v_next
-        threshold = v_here + lam * h * _lie_derivative(lyap, field, x)
-        v_next = lyap(traj.states[i + 1])
+        threshold = v_here + lam * h * _lie_derivative(lyap, field, states[i])
+        v_next = lyap(states[i + 1])
         accepted = within_slack(v_next, threshold)
-        halv = 0
-        if traj.certificates:
-            cert = traj.certificates[i]
-            if isinstance(cert, DecreaseCertificate):
-                halv = cert.halvings
-        rows.append((i, float(traj.tau[i]), v_here, threshold, accepted, halv))
+        rows.append((i, tau, v_here, threshold, accepted, halv))
         if not accepted and first_violation is None:
             first_violation = i
-            ok = False
-    return CertificationReport(ok=ok, rows=tuple(rows),
+    return CertificationReport(ok=first_violation is None, rows=tuple(rows),
                                first_violation=first_violation)
 
 
 # ---------------------------------------------------------------------------
 # controller objects for core.advance
+
+
+def _node_v(last: Optional[DecreaseCertificate], x: Array) -> Optional[float]:
+    """V(x) when x is the very state the last certificate tested, else None.
+
+    core.advance hands a certificate's x_next object on as the next node;
+    decrease_test made it read-only, so its lhs is still V(x).
+    """
+    return last.lhs if last is not None and last.x_next is x else None
 
 
 @dataclass
@@ -380,11 +396,14 @@ class HalvingController:
     field: VectorField
     lam: float
     h_init: float
+    _last: Optional[DecreaseCertificate] = _field(
+        default=None, init=False, repr=False, compare=False)
 
     def __call__(self, x: Array, tau: float):
-        cert = halving_controller(
-            self.lyap, self.tableau, self.field, x, self.h_init, self.lam
-        )
+        lyap, field = self.lyap, self.field
+        terms = state_terms(lyap, field, x, _node_v(self._last, x))
+        cert = self._last = halving_controller(
+            lyap, self.tableau, field, x, self.h_init, self.lam, terms=terms)
         return cert.h, cert
 
 
@@ -396,12 +415,16 @@ class EulerQController:
     field: VectorField
     lam: float
     r: float
+    _last: Optional[DecreaseCertificate] = _field(
+        default=None, init=False, repr=False, compare=False)
 
     def __call__(self, x: Array, tau: float):
         lyap, field, lam = self.lyap, self.field, self.lam
-        terms = state_terms(lyap, field, x)
+        terms = state_terms(lyap, field, x, _node_v(self._last, x))
         h = euler_q_phi(lyap, field, x, lam, self.r, terms=terms)
-        return h, decrease_test(lyap, EULER, field, x, h, lam, terms=terms)
+        cert = self._last = decrease_test(lyap, EULER, field, x, h, lam,
+                                          terms=terms)
+        return h, cert
 
 
 @dataclass

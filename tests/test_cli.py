@@ -39,6 +39,42 @@ def test_param_override(tmp_path, capsys):
     assert "t_final=3.798" in out
 
 
+def test_override_before_the_name(tmp_path, capsys):
+    # --key value may stand before the experiment name as well as after it
+    outs = {}
+    for where, argv in (("before", ["run", "--lambda", "0.9", "stiff-6.14"]),
+                        ("after", ["run", "stiff-6.14", "--lambda", "0.9"])):
+        code, outs[where], _ = run_cli(
+            argv + ["--out", str(tmp_path / where)], capsys)
+        assert code == 0
+    assert outs["before"] == outs["after"]
+    assert "t_final=3.798" in outs["before"]
+    written = sorted(p.name for p in (tmp_path / "after").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "before").iterdir())
+    for name in written:
+        assert (tmp_path / "before" / name).read_bytes() \
+            == (tmp_path / "after" / name).read_bytes()
+
+
+@pytest.mark.parametrize("out", ["x", "x/y/z"])
+def test_refused_run_leaves_no_directory(out, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run_cli(["run", "stiff-6.14", "--r", "-1", "--out", out],
+                            capsys)
+    assert code == 1
+    assert "stiff-6.14: FAILED (r must be positive and finite)" in text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_run_keeps_an_existing_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, _ = run_cli(["run", "stiff-6.14", "--r", "-1", "--out", str(out)],
+                         capsys)
+    assert code == 1
+    assert out.is_dir()
+
+
 @pytest.mark.parametrize("name, flag, value, message", [
     pytest.param("nlp-qp", "lambda", "1.0", "lam must lie in (0, 1)",
                  id="nlp-qp"),

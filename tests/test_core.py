@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stabstep.core import (
     ButcherTableau,
@@ -67,6 +69,13 @@ class TestTableaus:
     def test_implicit_euler_is_the_only_implicit_tableau(self, a, b):
         with pytest.raises(ConfigurationError, match="implicit Euler"):
             ButcherTableau("implicit", a, b, 2)
+
+    def test_stage_terms(self):
+        assert EULER.stage_terms == ()
+        assert HEUN.stage_terms == ((0, 1.0),)
+        assert IMPROVED_POLYGON.stage_terms == ((0, 0.5),)
+        assert KUTTA3.stage_terms == ((0, 0.5), None)
+        assert RK4.stage_terms == ((0, 0.5), (1, 0.5), (2, 1.0))
 
 
 class TestRkIncrement:
@@ -142,6 +151,93 @@ class TestRkIncrement:
             errs.append(np.linalg.norm(x + h * inc - truth))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope >= order + 0.8
+
+
+def plain_increment(tableau, field, x, h):
+    """Explicit stages without shortcuts: a matmul for every row and b @ k."""
+    a, s = tableau.a, tableau.stages
+    k = np.zeros((s, field.dim))
+    k[0] = field(x)
+    for i in range(1, s):
+        k[i] = field(x + h * (a[i, :i] @ k[:i]))
+    return tableau.b @ k
+
+
+COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def explicit_tableaus(draw):
+    """A catalog tableau, or a random explicit one whose stage rows have
+    one nonzero coefficient or several."""
+    tab = draw(st.sampled_from([None, EULER, HEUN, IMPROVED_POLYGON,
+                                KUTTA3, RK4]))
+    if tab is not None:
+        return tab
+    s = draw(st.integers(1, 5))
+    a = np.zeros((s, s))
+    for i in range(1, s):
+        if draw(st.booleans()):
+            a[i, draw(st.integers(0, i - 1))] = draw(st.floats(-2.0, 2.0))
+        else:
+            a[i, :i] = draw(hnp.arrays(np.float64, i, elements=COEFFICIENTS))
+    b = draw(hnp.arrays(np.float64, s, elements=st.floats(-1.0, 1.0)))
+    b[-1] = 1.0 - b[:-1].sum()
+    return ButcherTableau("random", a, b, 1)
+
+
+class TestStageShortcuts:
+    """The one-term stage rows and the one-stage return of rk_increment
+    equal the plain matmul loop bit for bit, in every stage state and in
+    the increment, signed zeros included, for finite states from subnormal
+    to near 1e300."""
+
+    STATES = st.floats(-1e300, 1e300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(explicit_tableaus(), st.data())
+    def test_bit_for_bit(self, tab, data):
+        dim = data.draw(st.integers(1, 4))
+        # a matmul field never returns -0.0; a diagonal one can
+        shape = (dim, dim) if data.draw(st.booleans()) else dim
+        a = data.draw(hnp.arrays(np.float64, shape,
+                                 elements=st.floats(-1.0, 1.0)))
+        x = data.draw(hnp.arrays(np.float64, dim, elements=self.STATES))
+        h = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        inputs = []
+
+        def f(y):
+            inputs.append(y.tobytes())
+            return a @ y if a.ndim == 2 else a * y
+
+        field = VectorField(dim=dim, f=f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = plain_increment(tab, field, x, h)
+        # a finite b @ k means that every stage was finite
+        assume(np.isfinite(expected).all())
+        plain_inputs = inputs[:]
+        inputs.clear()
+        assert rk_increment(tab, field, x, h).tobytes() == expected.tobytes()
+        assert inputs == plain_inputs  # every stage state, signed zeros too
+
+    @pytest.mark.parametrize("tab", [EULER, HEUN, RK4])
+    def test_signed_zeros(self, tab):
+        # f(y) = y keeps the -0.0 of x in k_1, and a matmul stage row or
+        # b @ k turns a -0.0 product into +0.0
+        inputs = []
+
+        def f(y):
+            inputs.append(y.tobytes())
+            return 1.0 * y
+
+        field = VectorField(dim=2, f=f)
+        x = np.array([-0.0, 1.0])
+        out = rk_increment(tab, field, x, 0.5)
+        shortcut_inputs = inputs[:]
+        inputs.clear()
+        assert out.tobytes() == plain_increment(tab, field, x, 0.5).tobytes()
+        assert shortcut_inputs == inputs
+        assert math.copysign(1.0, out[0]) == 1.0
 
 
 class TestAdvance:

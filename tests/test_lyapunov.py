@@ -1,7 +1,9 @@
 """Decrease tests, step-bound formulas, and trajectory certification."""
 
 import math
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_continuous_lyapunov
 
+from stabstep import lyapunov
 from stabstep.applications import example_fields
 from stabstep.core import (
     ConfigurationError,
@@ -26,6 +29,7 @@ from stabstep.core import (
 )
 from stabstep.implicit import convex_decrease_check
 from stabstep.lyapunov import (
+    DecreaseCertificate,
     EulerQController,
     HalvingController,
     LinearQuadraticController,
@@ -391,10 +395,21 @@ def certified_problems(draw):
     return sysd.field, sysd.lyap, x0
 
 
+def counted(counts: Counter, key: str, fn):
+    """fn, adding one to counts[key] on every call."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestStateTermsHandOff:
-    """Controllers evaluate f(x), V(x) and grad V . f once per call, and
-    their certificates equal those of plain decrease tests, bit for bit.
-    lam and h_init are not powers of two, so products round."""
+    """Controllers evaluate f(x) and grad V . f once per call, and V once
+    at a run's first node and once per decrease test: V at every later
+    node is the lhs of the certificate that chose it.  Each decrease test
+    builds one certificate, and the certificates equal those of plain
+    decrease tests, bit for bit.  lam and h_init are not powers of two, so
+    products round."""
 
     LAM, H_INIT = 0.6, 0.9
 
@@ -423,38 +438,80 @@ class TestStateTermsHandOff:
     @given(certified_problems())
     def test_certificates_and_field_calls(self, problem):
         field, lyap, x0 = problem
-        calls = [0]
+        work = Counter()
 
-        def f(x):
-            calls[0] += 1
-            return field.f(x)
+        def certificate(*args):
+            cert = DecreaseCertificate(*args)
+            work["certificates"] += 1
+            work["stage solved"] += cert.x_next is not None  # V(x_next) ran
+            return cert
 
-        counted = replace(field, f=f)
+        counted_field = replace(field, f=counted(work, "f", field.f))
+        counted_lyap = replace(lyap, v=counted(work, "V", lyap.v))
         lam, h_init = self.LAM, self.H_INIT
-        runs = [(tab, HalvingController(lyap, tab, counted, lam, h_init))
+        runs = [(tab, HalvingController(counted_lyap, tab, counted_field,
+                                        lam, h_init))
                 for tab in (EULER, HEUN, RK4, IMPLICIT_EULER)]
-        runs.append((None, EulerQController(lyap, counted, lam, h_init)))
+        runs.append((None, EulerQController(counted_lyap, counted_field,
+                                            lam, h_init)))
         for tab, ctrl in runs:
             costs = []
 
             def costed(x, tau):
-                before = calls[0]
+                before = work.copy()
                 out = ctrl(x, tau)
-                costs.append(calls[0] - before)
+                costs.append(work - before)
                 return out
 
-            traj = advance(tab or EULER, counted, costed, x0, t_end=5.0,
-                           max_steps=20)
-            for x, cert, cost in zip(traj.states, traj.certificates, costs):
+            with mock.patch.object(lyapunov, "DecreaseCertificate",
+                                   certificate), \
+                    mock.patch.object(lyapunov, "decrease_test",
+                                      counted(work, "tests",
+                                              lyapunov.decrease_test)):
+                traj = advance(tab or EULER, counted_field, costed, x0,
+                               t_end=5.0, max_steps=20)
+            for i, (x, cert, cost) in enumerate(zip(
+                    traj.states, traj.certificates, costs)):
+                first = int(i == 0)
+                assert cost["certificates"] == cost["tests"]
+                assert cost["V"] == first + cost["stage solved"]
                 if tab is None:
                     self.assert_same(cert, *self.plain_euler_q(lyap, field, x))
-                    assert cost == 1
+                    assert cost["f"] == 1 and cost["tests"] == 1
                     continue
                 self.assert_same(cert,
                                  *self.plain_halving(lyap, tab, field, x))
+                tests = cert.halvings + 1
+                assert cost["tests"] == tests
                 if tab.explicit:
-                    tests = cert.halvings + 1
-                    assert cost == 1 + (tab.stages - 1) * tests
+                    assert cost["f"] == 1 + (tab.stages - 1) * tests
+                    assert cost["V"] == first + tests
+
+    def test_x_next_is_read_only(self):
+        cert = halving_controller(vsq(), RK4, spiral(), np.array([1.0, 0.5]),
+                                  0.9, 0.6)
+        with pytest.raises(ValueError, match="read-only"):
+            cert.x_next[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            cert.x_next *= 2.0
+
+    @pytest.mark.parametrize("make", [
+        lambda lyap, f: HalvingController(lyap, HEUN, f, 0.6, 0.9),
+        lambda lyap, f: EulerQController(lyap, f, 0.6, 0.9),
+    ], ids=["halving", "euler-q"])
+    def test_a_copy_of_x_next_gets_v_evaluated(self, make):
+        work = Counter()
+        lyap = vsq()
+        ctrl = make(replace(lyap, v=counted(work, "V", lyap.v)), spiral())
+        _, cert = ctrl(np.array([1.0, 0.5]), 0.0)
+        # an equal copy of the last x_next first, then the next x_next itself
+        for evaluated in (1, 0):
+            x = cert.x_next.copy() if evaluated else cert.x_next
+            work.clear()
+            _, cert = ctrl(x, 0.0)
+            assert work["V"] == evaluated + cert.halvings + 1
+            assert cert.rhs == decrease_test(lyap, cert.tableau, spiral(), x,
+                                             cert.h, 0.6).rhs
 
 
 class TestCertificateMatchesAudit:
