@@ -42,7 +42,6 @@ from .lyapunov import (
     decrease_test,
     euler_q_phi,
     halving_controller,
-    k1_bound_euler,
     k1_phi,
     linear_phi,
     quadratic_lyapunov,
@@ -90,7 +89,6 @@ from .applications import (
     example_fields,
     max_decrease_step,
     nlp_flow,
-    nlp_hessian_bound,
     nlp_solve,
     quadratic_objective,
     solve_kkt,
@@ -121,7 +119,7 @@ __all__ = [
     "CertificationReport", "DecreaseCertificate", "EulerQController",
     "HalvingController", "LinearQuadraticController", "LyapunovFunction",
     "certify_trajectory", "decrease_test", "euler_q_phi", "halving_controller",
-    "k1_bound_euler", "k1_phi", "linear_phi", "quadratic_lyapunov",
+    "k1_phi", "linear_phi", "quadratic_lyapunov",
     # implicit
     "check_midpoint_convexity", "convex_decrease_check",
     "gradient_system_field", "implicit_euler_step",
@@ -136,9 +134,9 @@ __all__ = [
     # applications
     "ConvexObjective", "ExampleSystem", "NlpFlow", "NlpResult", "STIFF_A",
     "STIFF_P", "SWEEP_TABLEAUS", "boundary_sweep", "euler_f2_limit_radius",
-    "example_fields", "max_decrease_step", "nlp_flow", "nlp_hessian_bound",
-    "nlp_solve", "quadratic_objective", "solve_kkt", "stiff_experiment",
-    "stiff_phi", "write_steps_csv", "write_sweep_csv",
+    "example_fields", "max_decrease_step", "nlp_flow", "nlp_solve",
+    "quadratic_objective", "solve_kkt", "stiff_experiment", "stiff_phi",
+    "write_steps_csv", "write_sweep_csv",
     # acceptance
     "AcceptanceTolerances", "CRITERIA", "CriterionResult", "run_all",
     "run_criterion",

@@ -1,13 +1,12 @@
 """Worked systems: the planar example family, a stiff linear pair with a
 state-feedback step law, decrease-boundary sweeps, and a primal-dual flow
-for linearly constrained convex programs.
+for linearly constrained quadratic programs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -267,25 +266,15 @@ def write_steps_csv(traj: HybridTrajectory, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# primal-dual flow for linearly constrained convex programs
+# primal-dual flow for linearly constrained quadratic programs
 
 
 @dataclass(frozen=True)
 class ConvexObjective:
-    """Smooth convex objective with first and second derivatives.
+    """Strictly convex quadratic objective x'Qx/2 + c'x."""
 
-    q_matrix and c_vec are set for the quadratic x'Qx/2 + c'x only.
-    """
-
-    value: Callable[[Array], float]
-    grad: Callable[[Array], Array]
-    hess: Callable[[Array], Array]
-    q_matrix: Optional[Array] = None
-    c_vec: Optional[Array] = None
-
-    @property
-    def quadratic(self) -> bool:
-        return self.q_matrix is not None
+    q_matrix: Array
+    c_vec: Array
 
 
 def quadratic_objective(q: Array, c: Array) -> ConvexObjective:
@@ -296,54 +285,51 @@ def quadratic_objective(q: Array, c: Array) -> ConvexObjective:
         raise ConfigurationError("Q must be symmetric")
     if np.min(np.linalg.eigvalsh(q)) <= 0:
         raise ConfigurationError("Q must be positive definite")
-    return ConvexObjective(
-        value=lambda x: 0.5 * float(x @ q @ x) + float(c @ x),
-        grad=lambda x: q @ x + c,
-        hess=lambda x: q,
-        q_matrix=q,
-        c_vec=c,
-    )
+    return ConvexObjective(q_matrix=q, c_vec=c)
 
 
 @dataclass(frozen=True)
 class NlpFlow:
     """Joint (x, z) descent field with its exact-decrease Lyapunov pairing.
 
-    For quadratic objectives hess_norm is the exact global bound on the
-    Hessian of V and kkt_point the analytic equilibrium; both are None
-    otherwise.
+    hess_norm is the exact global bound on the Hessian of V, the squared
+    spectral radius of the KKT matrix, and kkt_point the analytic
+    equilibrium.
     """
 
     field: VectorField
     lyap: LyapunovFunction
     n: int
     m: int
-    hess_norm: Optional[float] = None
-    kkt_point: Optional[Array] = None
+    hess_norm: float
+    kkt_point: Array
+
+
+def _kkt_matrix(q: Array, a: Array) -> Array:
+    """[[Q, A'], [A, 0]] for an n x n Q and m x n A."""
+    n, m = q.shape[0], a.shape[0]
+    g = np.zeros((n + m, n + m))
+    g[:n, :n] = q
+    g[:n, n:] = a.T
+    g[n:, :n] = a
+    return g
 
 
 def solve_kkt(objective: ConvexObjective, a: Array, b: Array) -> Array:
     """Stationary point of the constrained quadratic program, as (x, z)."""
-    if not objective.quadratic:
-        raise ConfigurationError("closed-form stationary point needs a QP")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = objective.q_matrix.shape[0]
-    m = a.shape[0]
-    g = np.zeros((n + m, n + m))
-    g[:n, :n] = objective.q_matrix
-    g[:n, n:] = a.T
-    g[n:, :n] = a
     rhs = np.concatenate([-objective.c_vec, b])
-    return np.linalg.solve(g, rhs)
+    return np.linalg.solve(_kkt_matrix(objective.q_matrix, a), rhs)
 
 
 def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
     """Build the primal-dual flow (x', z') = -grad V(x, z) in disguise.
 
-    x' = -(hess f(x) g + A'(Ax - b)) and z' = -A g with g = grad f(x) + A'z;
+    x' = -(Q g + A'(Ax - b)) and z' = -A g with g = Qx + c + A'z;
     V(x, z) = |g|^2/2 + |Ax - b|^2/2 then satisfies grad V = -(x', z'), so
-    V decays at rate |field|^2 along the flow.
+    V decays at rate |field|^2 along the flow.  With G the KKT matrix, the
+    Hessian of V is the constant G^2.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -353,83 +339,29 @@ def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
     gram = a @ a.T
     if abs(np.linalg.det(gram)) < 1e-12 * max(1.0, float(np.trace(gram)) ** m):
         raise ConfigurationError("constraint rows must be linearly independent")
+    q, c = objective.q_matrix, objective.c_vec
 
     def residuals(w: Array) -> tuple[Array, Array]:
         x, z = w[:n], w[n:]
-        return objective.grad(x) + a.T @ z, a @ x - b
+        return q @ x + c + a.T @ z, a @ x - b
 
     def fvec(w: Array) -> Array:
         g, cons = residuals(w)
-        x = w[:n]
-        return np.concatenate([-(objective.hess(x) @ g + a.T @ cons),
-                               -(a @ g)])
-
-    jac = None
-    hess_v = None
-    hess_norm = None
-    kkt = None
-    if objective.quadratic:
-        gmat = np.zeros((n + m, n + m))
-        gmat[:n, :n] = objective.q_matrix
-        gmat[:n, n:] = a.T
-        gmat[n:, :n] = a
-        gsq = gmat @ gmat
-        jac = lambda w: -gsq
-        hess_v = lambda w: gsq
-        hess_norm = float(np.max(np.abs(np.linalg.eigvalsh(gmat)))) ** 2
-        kkt = solve_kkt(objective, a, b)
+        return np.concatenate([-(q @ g + a.T @ cons), -(a @ g)])
 
     def v(w: Array) -> float:
         g, cons = residuals(w)
         return 0.5 * float(g @ g) + 0.5 * float(cons @ cons)
 
-    field = VectorField(dim=n + m, f=fvec, jacobian=jac)
-    lyap = LyapunovFunction(
-        v=v,
-        grad=lambda w: -fvec(w),
-        hess=hess_v,
-        convex=objective.quadratic,
-        hess_constant=objective.quadratic,
-    )
+    gmat = _kkt_matrix(q, a)
+    gsq = gmat @ gmat
+    field = VectorField(dim=n + m, f=fvec, jacobian=lambda w: -gsq)
+    lyap = LyapunovFunction(v=v, grad=lambda w: -fvec(w),
+                            hess=lambda w: gsq, convex=True,
+                            hess_constant=True)
+    hess_norm = float(np.max(np.abs(np.linalg.eigvalsh(gmat)))) ** 2
     return NlpFlow(field=field, lyap=lyap, n=n, m=m, hess_norm=hess_norm,
-                   kkt_point=kkt)
-
-
-def _hess_v_norm_fd(flow: NlpFlow, w: Array) -> float:
-    """Spectral norm of the V-Hessian by central differences on grad V."""
-    dim = flow.field.dim
-    delta = 1e-5 * max(1.0, float(np.linalg.norm(w)))
-    h = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = delta
-        h[:, j] = (-flow.field(w + e) + flow.field(w - e)) / (2.0 * delta)
-    h = 0.5 * (h + h.T)
-    return float(np.linalg.norm(h, 2))
-
-
-def _unit_ball_points(dim: int, n: int) -> Array:
-    """Deterministic low-discrepancy points in the closed unit ball."""
-    from scipy.stats import qmc  # deferred: scipy.stats is slow to import
-
-    eng = qmc.Halton(d=dim, seed=0)
-    pts = 2.0 * eng.random(n) - 1.0
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts / np.maximum(norms, 1.0)
-
-
-def nlp_hessian_bound(flow: NlpFlow, w: Array, r: float) -> float:
-    """Bound p(w) on |hess V| over the ball of radius r |field(w)|.
-
-    Exact for quadratic objectives (constant Hessian); otherwise the max
-    over 128 low-discrepancy ball points plus the center, inflated by 1.5.
-    """
-    if flow.hess_norm is not None:
-        return flow.hess_norm
-    w = np.asarray(w, dtype=float)
-    radius = r * float(np.linalg.norm(flow.field(w)))
-    pts = [w] + list(w + radius * _unit_ball_points(flow.field.dim, 128))
-    return 1.5 * max(_hess_v_norm_fd(flow, p) for p in pts)
+                   kkt_point=solve_kkt(objective, a, b))
 
 
 @dataclass(frozen=True)
@@ -449,18 +381,23 @@ def nlp_solve(
     r: float = 1.0,
     tol: float = 1e-6,
 ) -> NlpResult:
-    """Drive the flow with explicit Euler and h = min(2(1-lam)/p(w), r).
+    """Drive the flow with explicit Euler and h = min(2(1-lam)/p, r),
+    p = flow.hess_norm.
 
     The step law is a controller that core.advance calls, so the iterates
     come back as a HybridTrajectory in clock time with one decrease
-    certificate per step.  A rejected step (only possible when p is a
-    sampled estimate) falls back to halving and clears `certified`.  The
-    run stops when |field(w)| < tol; a non-finite iterate raises
-    FloatingPointError, and 200000 steps without convergence raise
+    certificate per step.  A rejected step (possible only through rounding
+    or an understated hess_norm) falls back to halving and clears
+    `certified`.  The run stops when |field(w)| < tol; a non-finite iterate
+    raises FloatingPointError, and 200000 steps without convergence raise
     ControllerError.
     """
     check_lam(lam)
     check_cap(r)
+    p = flow.hess_norm
+    if not p > 0:
+        raise ConfigurationError("Hessian bound must be positive")
+    h = min(2.0 * (1.0 - lam) / p, r)
     residual = math.nan
 
     def converged(w: Array) -> bool:
@@ -469,10 +406,6 @@ def nlp_solve(
         return residual < tol
 
     def controller(w: Array, tau: float):
-        p = nlp_hessian_bound(flow, w, r)
-        if p <= 0:
-            raise ConfigurationError("Hessian bound must be positive")
-        h = min(2.0 * (1.0 - lam) / p, r)
         cert = halving_controller(flow.lyap, EULER, flow.field, w, h, lam)
         return cert.h, cert
 

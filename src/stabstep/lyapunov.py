@@ -6,7 +6,7 @@ A step h at state x is accepted when
 
 for a decrease fraction lam in (0, 1).  Controllers either search for such an
 h by halving or compute one directly from curvature information (explicit
-Euler with a Hessian, linear systems with quadratic V).
+Euler with a constant Hessian, linear systems with quadratic V).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .core import (
 )
 
 _SLACK = 1e-15
-_H_SAMPLES = 33  # grid points of the curvature maximum over h in [0, r]
 _MAX_HALVINGS = 40
 
 
@@ -60,7 +59,8 @@ class LyapunovFunction:
 
     convex declares V convex, which implicit Euler's unconditional decrease
     needs.  hess_constant declares that hess returns the same matrix at
-    every x, so curvature bounds evaluate it once instead of on a grid.
+    every x; the curvature step laws evaluate it once, at x, and refuse a
+    V without it.
     V carries no field: every decrease threshold takes grad V(x) . f(x)
     from the field it is paired with.
     """
@@ -209,27 +209,17 @@ def halving_controller(
 # direct step formulas for the explicit Euler scheme
 
 
-def _curvature_grid(
-    lyap: LyapunovFunction, x: Array, fx: Array, r: float
-) -> float:
-    """max over h in [0, r] of fx' H_V(x + h fx) fx, fx = f(x), grid-sampled.
+def _check_curvature(lyap: LyapunovFunction) -> None:
+    """Refuse a V whose Hessian is missing or not declared constant: the
+    curvature step laws read it once, at x, as its bound over the step."""
+    if lyap.hess is None or not lyap.hess_constant:
+        raise ConfigurationError("curvature step laws need a Hessian "
+                                 "declared hess_constant")
 
-    Inflated by 5% unless every sampled value coincides (constant Hessian
-    along the ray), in which case the grid maximum is exact.  A V declared
-    hess_constant gets that exact value from a single evaluation.
-    """
-    if lyap.hess is None:
-        raise ConfigurationError("Hessian required for curvature step bounds")
-    if lyap.hess_constant:
-        return float(fx @ np.asarray(lyap.hess(x), dtype=float) @ fx)
-    vals = np.empty(_H_SAMPLES)
-    for j in range(_H_SAMPLES):
-        hj = r * j / (_H_SAMPLES - 1)
-        vals[j] = fx @ np.asarray(lyap.hess(x + hj * fx), dtype=float) @ fx
-    top = float(np.max(vals))
-    if float(np.min(vals)) == top:
-        return top
-    return 1.05 * top
+
+def _curvature(lyap: LyapunovFunction, x: Array, fx: Array) -> float:
+    """fx' H_V fx, fx = f(x): exact along the whole ray for a constant H_V."""
+    return float(fx @ np.asarray(lyap.hess(x), dtype=float) @ fx)
 
 
 def euler_q_phi(
@@ -242,41 +232,25 @@ def euler_q_phi(
 ) -> float:
     """Largest explicit-Euler step passing the decrease test by curvature.
 
-    With q(x) the max of f' H_V(x + h f) f over h in [0, r], any
+    With q(x) = f' H_V f and H_V constant, any
     h <= -2(1-lam) grad V . f / q(x) is accepted; nonpositive q means no
-    curvature obstruction and the cap r is returned.  terms, when given,
+    curvature obstruction and the cap r is returned.  A V not declared
+    hess_constant is refused with ConfigurationError.  terms, when given,
     must be state_terms(lyap, field, x); its f(x) and grad V . f then serve
-    the curvature grid too, and the decrease test of the chosen step.
+    the curvature too, and the decrease test of the chosen step.
     """
     check_cap(r)
+    _check_curvature(lyap)
     x = np.asarray(x, dtype=float)
     fx, _, w = terms or state_terms(lyap, field, x)
     if w >= 0.0:
         if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
             return r
         raise ConfigurationError("grad V . f must be negative away from 0")
-    q = _curvature_grid(lyap, x, fx, r)
+    q = _curvature(lyap, x, fx)
     if q <= 0.0:
         return r
     return min(2.0 * (1.0 - lam) * (-w) / q, r)
-
-
-def k1_bound_euler(
-    lyap: LyapunovFunction,
-    field: VectorField,
-    x: Array,
-    r: float,
-) -> float:
-    """Half the grid maximum of f' H_V(x + h f) f over h in [0, r].
-
-    Dominates the second-order term of V(x + hf) - V(x) - h grad V . f;
-    exact for constant Hessians, otherwise 5%-inflated.
-    """
-    x = np.asarray(x, dtype=float)
-    fx = field(x)
-    if float(np.linalg.norm(fx)) == 0.0:
-        return 0.0
-    return 0.5 * _curvature_grid(lyap, x, fx, r)
 
 
 def k1_phi(
@@ -286,15 +260,20 @@ def k1_phi(
     lam: float,
     r: float,
 ) -> float:
-    """Explicit-Euler step from the quadratic remainder bound K_1."""
+    """Explicit-Euler step from the quadratic remainder K_1 = f' H_V f / 2.
+
+    For a constant H_V, V(x + hf) - V(x) - h grad V . f is exactly K_1 h^2;
+    a V not declared hess_constant is refused with ConfigurationError.
+    """
     check_cap(r)
+    _check_curvature(lyap)
     x = np.asarray(x, dtype=float)
-    w = _lie_derivative(lyap, field, x)
+    fx, _, w = state_terms(lyap, field, x)
     if w >= 0.0:
-        if w == 0.0 and float(np.linalg.norm(field(x))) == 0.0:
+        if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
             return r
         raise ConfigurationError("grad V . f must be negative away from 0")
-    k1 = k1_bound_euler(lyap, field, x, r)
+    k1 = 0.5 * _curvature(lyap, x, fx)
     if k1 <= 0.0:
         return r
     return min((1.0 - lam) * (-w) / k1, r)

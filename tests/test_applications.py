@@ -20,7 +20,6 @@ from stabstep.applications import (
     example_fields,
     max_decrease_step,
     nlp_flow,
-    nlp_hessian_bound,
     nlp_solve,
     quadratic_objective,
     solve_kkt,
@@ -333,33 +332,7 @@ class TestNlpFlow:
         g = np.block([[np.eye(2), np.array([[1.0], [1.0]])],
                       [np.array([[1.0, 1.0]]), np.zeros((1, 1))]])
         expected = float(np.max(np.abs(np.linalg.eigvalsh(g))) ** 2)
-        assert nlp_hessian_bound(flow, np.zeros(3), 1.0) \
-            == pytest.approx(expected, rel=1e-12)
-
-    def test_nonquadratic_bound_dominates_center(self):
-        # log-sum-exp objective: smooth, strictly convex after the tie-break
-        def value(x):
-            return float(np.logaddexp(x[0], x[1]) + 0.5 * (x @ x))
-
-        def grad(x):
-            e = np.exp(x - np.max(x))
-            return e / e.sum() + x
-
-        def hess(x):
-            e = np.exp(x - np.max(x))
-            s = e / e.sum()
-            return np.diag(s) - np.outer(s, s) + np.eye(2)
-
-        from stabstep.applications import ConvexObjective
-        obj = ConvexObjective(value=value, grad=grad, hess=hess)
-        flow = nlp_flow(obj, np.array([[1.0, -1.0]]), np.array([0.0]))
-        w = np.array([0.3, -0.2, 0.1])
-        bound = nlp_hessian_bound(flow, w, 1.0)
-        assert bound > 0.0
-        # continuity along a short path
-        for t in np.linspace(0.0, 0.2, 5):
-            nearby = nlp_hessian_bound(flow, w + t, 1.0)
-            assert nearby == pytest.approx(bound, rel=0.8)
+        assert flow.hess_norm == pytest.approx(expected, rel=1e-12)
 
     def test_infeasible_constraints_rejected(self):
         obj = quadratic_objective(np.eye(2), np.zeros(2))

@@ -20,11 +20,29 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_import_leaves_out_scipy_stats():
-    # scipy.stats is slow to import, and only nlp_hessian_bound uses it
+    # scipy.stats is slow to import, and nothing in the package needs it
     proc = run_python("import sys, stabstep\n"
                       "print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_imports_scipy_stats():
+    # the fresh interpreter above misses an import deferred into a function
+    found = []
+    for path in sorted((ROOT / "src" / "stabstep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name == "scipy.stats"
+                      or name.startswith("scipy.stats.")]
+    assert found == []
 
 
 def test_benchmark_finds_its_names():

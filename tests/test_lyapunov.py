@@ -27,17 +27,17 @@ from stabstep.core import (
     linear_field,
     rk_increment,
 )
-from stabstep.implicit import convex_decrease_check
+from stabstep.implicit import convex_decrease_check, gradient_system_field
 from stabstep.lyapunov import (
     DecreaseCertificate,
     EulerQController,
     HalvingController,
     LinearQuadraticController,
+    LyapunovFunction,
     certify_trajectory,
     decrease_test,
     euler_q_phi,
     halving_controller,
-    k1_bound_euler,
     k1_phi,
     linear_phi,
     quadratic_lyapunov,
@@ -53,6 +53,15 @@ def spiral():
 
 def vsq():
     return quadratic_lyapunov(np.eye(2))
+
+
+# V = |x|^2/2 + |x|^4/4, convex, with a Hessian that varies with x
+QUARTIC = LyapunovFunction(
+    v=lambda x: 0.5 * float(x @ x) + 0.25 * float(x @ x) ** 2,
+    grad=lambda x: (1.0 + float(x @ x)) * x,
+    hess=lambda x: (1.0 + float(x @ x)) * np.eye(x.size) + 2.0 * np.outer(x, x),
+    convex=True,
+)
 
 
 class TestQuadraticLyapunov:
@@ -138,6 +147,23 @@ class TestHalvingController:
             halving_controller(quadratic_lyapunov(np.eye(1)), EULER, grow,
                                np.array([1.0]), 1.0, 0.5)
 
+    def test_exhaustion_after_exactly_41_tests(self, monkeypatch):
+        # h_init and its 40 halvings are each tested once, down to
+        # h_init * 2^-40, and then the controller gives up
+        tested = []
+
+        def counting(*args, **kwargs):
+            tested.append(args[4])
+            return decrease_test(*args, **kwargs)
+
+        monkeypatch.setattr(lyapunov, "decrease_test", counting)
+        grow = linear_field(np.array([[1.0]]))
+        with pytest.raises(ControllerError, match="after 40 halvings"):
+            halving_controller(quadratic_lyapunov(np.eye(1)), EULER, grow,
+                               np.array([1.0]), 0.75, 0.5)
+        assert len(tested) == 41
+        assert tested[-1] == 0.75 * 2.0 ** -40
+
     @pytest.mark.parametrize("h_init", [math.nan, math.inf])
     def test_non_finite_h_init_refused(self, h_init):
         # refused before the first decrease test, not after 41 of them
@@ -171,10 +197,27 @@ class TestCurvatureBounds:
         assert phi == pytest.approx(1.0)
 
     def test_k1_value(self):
+        # f = -x, V = x^2 at x = 2: grad V . f = -8 and K_1 = f H_V f / 2
+        # = 4, so the step is (1 - lam) 8 / 4 = 1 at lam = 1/2.
         f = linear_field(np.array([[-1.0]]))
         lyap = quadratic_lyapunov(np.eye(1))
-        assert k1_bound_euler(lyap, f, np.array([2.0]), 1.0) \
-            == pytest.approx(4.0)
+        assert k1_phi(lyap, f, np.array([2.0]), 0.5, 10.0) \
+            == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lyap", [
+        pytest.param(QUARTIC, id="quartic"),
+        pytest.param(replace(quadratic_lyapunov(np.eye(2)), hess=None),
+                     id="no-hess")])
+    def test_hessian_not_declared_constant_is_refused(self, lyap):
+        # the laws read H_V once, at x, as its bound over the whole step;
+        # for a Hessian that varies along the ray that is no bound
+        field = gradient_system_field(QUARTIC, 2)
+        x = np.array([1.0, -0.5])
+        for law in (euler_q_phi, k1_phi):
+            with pytest.raises(ConfigurationError, match="hess_constant"):
+                law(lyap, field, x, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match="hess_constant"):
+            EulerQController(lyap, field, lam=0.5, r=1.0)(x, 0.0)
 
     def test_k1_phi_matches_q_phi(self):
         f = spiral()
