@@ -26,6 +26,7 @@ from .core import (
     write_csv,
 )
 from .lyapunov import (
+    HalvingController,
     LyapunovFunction,
     check_cap,
     check_lam,
@@ -196,10 +197,10 @@ def max_decrease_step(
 ) -> float:
     """Largest accepted step at x, located by doubling then bisection.
 
-    The search starts from h = 1/64.  Returns the lower bisection endpoint
-    (always an accepted step) once the bracket is narrower than tol; 0.0 if
-    no positive step down to 2^-46 is accepted, 1e6 if none up to 1e6 is
-    rejected.
+    The search starts from the step `halving_controller` accepts from
+    h = 1/64.  Returns the lower bisection endpoint (always an accepted
+    step) once the bracket is narrower than tol; 0.0 if no positive step
+    down to 2^-46 is accepted, 1e6 if none up to 1e6 is rejected.
     """
     x = np.asarray(x, dtype=float)
     terms = state_terms(lyap, field, x)
@@ -208,13 +209,11 @@ def max_decrease_step(
         return decrease_test(lyap, tableau, field, x, h, lam,
                              terms=terms).accepted
 
-    hi = 1.0 / 64.0
-    shrink = 0
-    while not ok(hi):
-        hi *= 0.5
-        shrink += 1
-        if shrink > 40:
-            return 0.0
+    try:
+        hi = halving_controller(lyap, tableau, field, x, 1.0 / 64.0, lam,
+                                terms=terms).h
+    except ControllerError:
+        return 0.0
     lo = hi
     while ok(lo * 2.0):
         lo *= 2.0
@@ -281,6 +280,10 @@ def quadratic_objective(q: Array, c: Array) -> ConvexObjective:
     """f(x) = x'Qx/2 + c'x with Q symmetric positive definite."""
     q = np.asarray(q, dtype=float)
     c = np.asarray(c, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ConfigurationError("Q must be a square matrix")
+    if c.shape != (q.shape[0],):
+        raise ConfigurationError("c must have one entry per row of Q")
     if not np.allclose(q, q.T, atol=1e-12):
         raise ConfigurationError("Q must be symmetric")
     if np.min(np.linalg.eigvalsh(q)) <= 0:
@@ -333,13 +336,15 @@ def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    q, c = objective.q_matrix, objective.c_vec
+    if a.ndim != 2 or a.shape[1] != q.shape[0]:
+        raise ConfigurationError("A must have one column per row of Q")
     m, n = a.shape
     if b.shape != (m,):
         raise ConfigurationError("b must have one entry per constraint row")
     gram = a @ a.T
     if abs(np.linalg.det(gram)) < 1e-12 * max(1.0, float(np.trace(gram)) ** m):
         raise ConfigurationError("constraint rows must be linearly independent")
-    q, c = objective.q_matrix, objective.c_vec
 
     def residuals(w: Array) -> tuple[Array, Array]:
         x, z = w[:n], w[n:]
@@ -384,9 +389,10 @@ def nlp_solve(
     """Drive the flow with explicit Euler and h = min(2(1-lam)/p, r),
     p = flow.hess_norm.
 
-    The step law is a controller that core.advance calls, so the iterates
-    come back as a HybridTrajectory in clock time with one decrease
-    certificate per step.  A rejected step (possible only through rounding
+    The step law is a lyapunov.HalvingController from that h, which
+    core.advance calls, so the iterates come back as a HybridTrajectory in
+    clock time with one decrease certificate per step, and V is evaluated
+    once per node.  A rejected step (possible only through rounding
     or an understated hess_norm) falls back to halving and clears
     `certified`.  The run stops when |field(w)| < tol; a non-finite iterate
     raises FloatingPointError, and 200000 steps without convergence raise
@@ -405,11 +411,9 @@ def nlp_solve(
         residual = float(np.linalg.norm(flow.field(w)))
         return residual < tol
 
-    def controller(w: Array, tau: float):
-        cert = halving_controller(flow.lyap, EULER, flow.field, w, h, lam)
-        return cert.h, cert
-
     v0 = flow.lyap(np.asarray(w0, dtype=float))
+    controller = HalvingController(flow.lyap, EULER, flow.field, lam=lam,
+                                   h_init=h)
     traj = advance(EULER, flow.field, controller, w0, math.inf,
                    max_steps=_NLP_MAX_ITER, stop=converged)
     if not residual < tol:

@@ -8,8 +8,9 @@ Usage:
 Exit codes: 0 success, 1 experiment or criterion failure, 2 usage error,
 which includes a negative seed.
 `run` runs one experiment; its flags, before or after its name, override
-that experiment's defaults.  A run that fails before writing anything
-leaves no --out directory behind.
+that experiment's defaults.  The --out directory is created by the first
+CSV the run writes, so a run that fails before writing anything leaves
+none behind.
 Each experiment draws from its own stream of the seed, so a shell loop of
 `run` calls writes what each call writes alone.  No flag sets a `verify`
 tolerance: they are the pinned `acceptance.AcceptanceTolerances`.
@@ -348,18 +349,7 @@ def _run_experiment(exp: Experiment, overrides: dict, out: Path,
     params.update(overrides)
     index = CATALOG.index(exp)
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    created = list(itertools.takewhile(lambda p: not p.exists(),
-                                       (out, *out.parents)))
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        return exp.runner(params, out, rng)
-    except Exception:
-        # a run that fails before writing anything leaves no directory
-        for path in created:
-            if any(path.iterdir()):
-                break
-            path.rmdir()
-        raise
+    return exp.runner(params, out, rng)
 
 
 def _cmd_run(args, extra: list[str]) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as _field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -51,7 +52,8 @@ class VectorField:
     f : callable
         Maps a state vector of shape (dim,) to the derivative vector.
     jacobian : callable, optional
-        Df(x); enables Newton iterations for implicit stage equations.
+        Df(x), which the Newton stage solve of implicit Euler needs:
+        `rk_increment` refuses implicit Euler on a field without it.
     linear_matrix : ndarray, optional
         Set when f(x) = A x.  `implicit.implicit_euler_step` then solves
         (I - hA) Y = x directly, and `rk_increment` skips its rebuilt-state
@@ -188,10 +190,12 @@ def rk_increment(
     the increment is non-finite either way.)
 
     Implicit Euler, the one implicit tableau, solves y = x + h f(y) from
-    y = x by Newton iteration with I - h J(y) when the field has a
-    Jacobian and by fixed-point iteration otherwise, to a residual of
+    y = x by Newton iteration with I - h J(y), to a residual of
     1e-12 (1 + |x|), and returns F = f(y); failure within 50 iterations
-    raises StageSolveError.
+    raises StageSolveError.  A field without a Jacobian is refused with
+    ConfigurationError, whatever h: a Jacobian-free fixed-point iteration
+    converges only while h L < 1, where explicit Euler already contracts
+    on f = -L x.
     On a field without `linear_matrix`, the state x + h F rebuilt from the
     converged stage is verified too (`_check_rebuilt_state`).
 
@@ -202,6 +206,8 @@ def rk_increment(
     x = np.asarray(x, dtype=float)
     if h < 0:
         raise ConfigurationError("step must be nonnegative")
+    if not tableau.explicit and field.jacobian is None:
+        raise ConfigurationError("implicit Euler needs the field's Jacobian")
     if fx is None:
         fx = field(x)
     if h == 0.0:
@@ -225,42 +231,21 @@ def rk_increment(
     # takes a dot product instead, which can round differently
     tol = _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
     y, fy = x, fx
-    if field.jacobian is not None:
-        for _ in range(_STAGE_MAX_ITER):
-            res = y - x - h * fy
-            if math.sqrt((res ** 2).sum()) <= tol:
-                break
-            jac = _identity(x.size) - h * np.asarray(field.jacobian(y),
-                                                     dtype=float)
-            try:
-                y = y - np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError as exc:
-                raise StageSolveError(f"singular stage Jacobian at h={h}") from exc
-            if not np.isfinite(y).all():
-                raise StageSolveError(f"stage Newton iteration diverged at h={h}")
-            fy = field(y)
-        else:
-            raise StageSolveError(f"stage Newton iteration stalled at h={h}")
+    for _ in range(_STAGE_MAX_ITER):
+        res = y - x - h * fy
+        if math.sqrt((res ** 2).sum()) <= tol:
+            break
+        jac = _identity(x.size) - h * np.asarray(field.jacobian(y),
+                                                 dtype=float)
+        try:
+            y = y - np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError as exc:
+            raise StageSolveError(f"singular stage Jacobian at h={h}") from exc
+        if not np.isfinite(y).all():
+            raise StageSolveError(f"stage Newton iteration diverged at h={h}")
+        fy = field(y)
     else:
-        prev = math.inf
-        for _ in range(_STAGE_MAX_ITER):
-            target = x + h * fy
-            shift = math.sqrt(((target - y) ** 2).sum())
-            if not math.isfinite(shift) or shift > max(10.0 * prev, 1e6):
-                raise StageSolveError(
-                    f"stage fixed-point iteration diverged at h={h} "
-                    f"(residual {shift:.3e})"
-                )
-            y = y + (target - y)  # not y = target: the sum rounds differently
-            fy = field(y)
-            if shift <= tol:
-                break
-            prev = shift
-        else:
-            raise StageSolveError(
-                f"stage fixed-point iteration did not converge within "
-                f"{_STAGE_MAX_ITER} iterations at h={h} (residual {prev:.3e})"
-            )
+        raise StageSolveError(f"stage Newton iteration stalled at h={h}")
 
     # f = Ax is exempt: |r| <= tol gives |hAr| <= h|A| tol < 10 tol (1 + h|A|)
     if field.linear_matrix is None:
@@ -274,16 +259,14 @@ def _check_rebuilt_state(
     """Verify that z = x + h F solves z = x + h f(z) to 1e-11 (1 + |x|).
 
     z is rebuilt from the converged implicit Euler stage, so its residual
-    is the stage residual multiplied by about h |J|.  A Newton solve that
-    misses the plain bound is therefore held to the bound times
-    1 + h |J(z)|_2, with J evaluated only then.  The fixed-point path keeps
-    the plain bound: its convergence already implies h L < 1.  A miss
-    raises StageSolveError.
+    is the stage residual multiplied by about h |J|.  A state that misses
+    the plain bound is therefore held to the bound times 1 + h |J(z)|_2,
+    with J evaluated only then.  A miss raises StageSolveError.
     """
     z = x + h * incr
     residual = float(np.linalg.norm(z - x - h * field(z)))
     bound = 10.0 * _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
-    if residual > bound and field.jacobian is not None:
+    if residual > bound:
         jac = np.asarray(field.jacobian(z), dtype=float)
         bound *= 1.0 + h * float(np.linalg.norm(jac, 2))
     if residual > bound:
@@ -354,12 +337,14 @@ class HybridTrajectory:
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write a header line and comma-separated rows.
+    """Write a header line and comma-separated rows, creating the file's
+    directory first if it is missing.
 
     Strings are written as they are and numbers as %.17g, which reads back
     bit-exact.  The column formats are taken from the first row.
     """
     rows = iter(rows)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         first = next(rows, None)

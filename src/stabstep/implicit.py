@@ -27,7 +27,8 @@ def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
 
     Linear fields are handled by a direct solve of (I - hA)Y = x with no
     step restriction.  Otherwise Y = x + h F with F from `rk_increment`
-    under the implicit Euler tableau, which also verifies Y's residual.
+    under the implicit Euler tableau, which needs the field's Jacobian and
+    also verifies Y's residual.
     """
     x = np.asarray(x, dtype=float)
     if h < 0:
@@ -63,7 +64,11 @@ def convex_decrease_check(
 
 
 def gradient_system_field(lyap: LyapunovFunction, dim: int) -> VectorField:
-    """The descent field f = -grad V, with Jacobian -hess V when available."""
+    """The descent field f = -grad V, with Jacobian -hess V.
+
+    A V without a Hessian gives a field without a Jacobian, which explicit
+    schemes step and implicit Euler refuses.
+    """
     jac = None
     if lyap.hess is not None:
         jac = lambda x: -np.asarray(lyap.hess(x), dtype=float)

@@ -122,10 +122,6 @@ class DecreaseCertificate:
                                           compare=False)
 
 
-def _lie_derivative(lyap: LyapunovFunction, field: VectorField, x: Array) -> float:
-    return float(lyap.gradient(x) @ field(x))
-
-
 def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array,
                 v: Optional[float] = None):
     """(f(x), V(x), grad V(x) . f(x)): what every decrease test at x shares.
@@ -150,7 +146,8 @@ def decrease_test(
     """Evaluate the Lyapunov decrease condition for one candidate step.
 
     A stage-solve failure (implicit tableau, step too large) is reported as
-    a rejection with the reason recorded, not an exception.  terms, when
+    a rejection with the reason recorded, not an exception; implicit Euler
+    on a field without a Jacobian raises ConfigurationError.  terms, when
     given, must be state_terms(lyap, field, x): a controller testing several
     h at one x evaluates f(x), V(x) and grad V . f once and hands them to
     each test, which then forms the same rhs and increment bit for bit.
@@ -342,7 +339,8 @@ def certify_trajectory(
     for i, (tau, h, halv) in enumerate(zip(traj.tau.tolist(),
                                            traj.steps.tolist(), halvings)):
         v_here = v_next
-        threshold = v_here + lam * h * _lie_derivative(lyap, field, states[i])
+        threshold = v_here + lam * h * state_terms(lyap, field, states[i],
+                                                   v_here)[2]
         v_next = lyap(states[i + 1])
         accepted = within_slack(v_next, threshold)
         rows.append((i, tau, v_here, threshold, accepted, halv))

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stabstep.core import (ConfigurationError, ConstantController,
-                           ControllerError, EULER, HybridTrajectory, advance)
+                           ControllerError, EULER, HybridTrajectory, advance,
+                           linear_field)
 from stabstep import applications, lyapunov
-from stabstep.lyapunov import certify_trajectory, decrease_test
+from stabstep.lyapunov import (certify_trajectory, decrease_test,
+                               quadratic_lyapunov)
 from stabstep.applications import (
     STIFF_A,
     STIFF_P,
@@ -217,6 +219,13 @@ class TestBoundarySweep:
             assert np.all(np.isfinite(curve))
             assert np.all(curve > 0.0)
 
+    def test_no_accepted_step_gives_zero(self):
+        # f = x grows V = x^2 at every step, so the halving search from
+        # 1/64 runs out and the documented 0.0 comes back
+        f = linear_field(np.array([[1.0]]))
+        lyap = quadratic_lyapunov(np.eye(1))
+        assert max_decrease_step(lyap, EULER, f, np.array([1.0]), 0.5) == 0.0
+
     def test_returned_step_is_accepted(self, systems):
         s = systems["sys427"]
         for tab in SWEEP_TABLEAUS:
@@ -302,6 +311,26 @@ class TestNlpFlow:
         assert not res.certified and max(halvings) > 0
         assert len(tested) == sum(k + 1 for k in halvings)
 
+    @pytest.mark.parametrize("scale", [
+        pytest.param(1.0, id="exact"),
+        pytest.param(1.0 / 3.0, id="understated")])
+    def test_v_once_per_node(self, scale):
+        # V at w0 for v_history and for the first decrease threshold, then
+        # once per decrease test: every later node reuses the accepted lhs
+        flow = self.pinned()
+        calls = []
+        real_v = flow.lyap.v
+
+        def v(w):
+            calls.append(1)
+            return real_v(w)
+
+        flow = replace(flow, hess_norm=flow.hess_norm * scale,
+                       lyap=replace(flow.lyap, v=v))
+        res = nlp_solve(flow, np.zeros(3), lam=0.5, tol=1e-7)
+        halvings = sum(c.halvings for c in res.trajectory.certificates)
+        assert len(calls) <= res.iterations + halvings + 2
+
     def test_nan_start_raises(self):
         flow = self.pinned()
         with np.errstate(invalid="ignore"), \
@@ -333,6 +362,17 @@ class TestNlpFlow:
                       [np.array([[1.0, 1.0]]), np.zeros((1, 1))]])
         expected = float(np.max(np.abs(np.linalg.eigvalsh(g))) ** 2)
         assert flow.hess_norm == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q, c, a", [
+        pytest.param(np.eye(3), np.zeros(3), [[1.0, 1.0]], id="A-vs-Q"),
+        pytest.param(np.eye(2), np.zeros(3), [[1.0, 1.0]], id="c-vs-Q"),
+        pytest.param(np.ones((2, 3)), np.zeros(2), [[1.0, 1.0]],
+                     id="Q-not-square"),
+    ])
+    def test_size_mismatch_is_refused(self, q, c, a):
+        # refused before numpy meets the mismatched shapes
+        with pytest.raises(ConfigurationError, match="Q"):
+            nlp_flow(quadratic_objective(q, c), a, [1.0])
 
     def test_infeasible_constraints_rejected(self):
         obj = quadratic_objective(np.eye(2), np.zeros(2))

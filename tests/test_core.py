@@ -21,7 +21,6 @@ from stabstep.core import (
     KUTTA3,
     OracleError,
     RK4,
-    StageSolveError,
     VectorField,
     advance,
     linear_field,
@@ -30,6 +29,11 @@ from stabstep.core import (
     rk_increment,
     write_csv,
     write_trajectory_csv,
+)
+from stabstep.lyapunov import (
+    HalvingController,
+    decrease_test,
+    quadratic_lyapunov,
 )
 
 M1 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
@@ -117,12 +121,24 @@ class TestRkIncrement:
             taylor = taylor + term
         np.testing.assert_allclose(x + h * inc, taylor, rtol=1e-15)
 
-    def test_fixed_point_diverges_without_jacobian(self):
-        # hL > 1 defeats the fixed-point stage solver; Newton is not
-        # available because no jacobian was supplied.
+    def test_implicit_euler_needs_a_jacobian(self):
+        # refused at every h, and passed on by a controller instead of
+        # counted as a rejected step
         stiff = VectorField(dim=1, f=lambda x: -1000.0 * x)
-        with pytest.raises(StageSolveError):
-            rk_increment(IMPLICIT_EULER, stiff, np.array([1.0]), 0.5)
+        x = np.array([1.0])
+        lyap = quadratic_lyapunov(np.eye(1))
+        for h in (1e-4, 0.5):
+            ctrl = HalvingController(lyap, IMPLICIT_EULER, stiff, lam=0.5,
+                                     h_init=h)
+            for call in (
+                lambda: rk_increment(IMPLICIT_EULER, stiff, x, h),
+                lambda: decrease_test(lyap, IMPLICIT_EULER, stiff, x, h, 0.5),
+                lambda: advance(IMPLICIT_EULER, stiff, ctrl, x, 1.0),
+            ):
+                with pytest.raises(ConfigurationError,
+                                   match="implicit Euler needs the field's "
+                                         "Jacobian"):
+                    call()
 
     def test_newton_handles_the_same_step(self):
         stiff = VectorField(dim=1, f=lambda x: -1000.0 * x,

@@ -14,7 +14,6 @@ from stabstep.core import (
     HybridTrajectory,
     IMPLICIT_EULER,
     StageSolveError,
-    VectorField,
     advance,
     linear_field,
     rk_increment,
@@ -90,16 +89,6 @@ def test_residual_satisfies_stage_equation():
         y = implicit_euler_step(system.field, x, h)
         res = y - x - h * system.field(y)
         assert np.linalg.norm(res) <= 1e-10 * (1.0 + np.linalg.norm(x))
-
-
-def test_newton_and_fixed_point_agree_for_small_h():
-    f2 = example_fields()["f2"].field
-    bare = VectorField(dim=2, f=f2.f)
-    x = np.array([0.8, -0.3])
-    h = 0.05
-    with_jac = implicit_euler_step(f2, x, h)
-    without = implicit_euler_step(bare, x, h)
-    np.testing.assert_allclose(with_jac, without, rtol=1e-9)
 
 
 @pytest.mark.parametrize("h", [1e3, 1e4])
