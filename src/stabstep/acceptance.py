@@ -371,38 +371,39 @@ def _check_nlp_convergence(tol, rng):
     return ok, "; ".join(notes)
 
 
-_DECAY_CHUNK = 1 << 15
-
-
-def _euler_decay_errors(blocks: Iterable[np.ndarray]) -> float:
+def _euler_decay_errors(
+    pieces: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> float:
     """Worst node error of Euler on x' = -x from x0 = 1 for given steps.
 
-    The steps arrive as an iterable of arrays and are consumed in chunks of
-    at most 2**15, so no full-length array is ever built.  The result is
-    bit for bit that of one cumsum and one cumprod over the joined
-    sequence: numpy accumulates sequentially, so element k of a whole-array
-    cumsum is (((0 + s0) + s1) + ...) + sk, and seeding a chunk's first
-    element with the carried node, tau + s0 and x * (1 - s0), continues
-    exactly that chain of roundings.  Node 0 contributes
-    |exp(0) - 1| = 0, the initial value of the running max, which
-    propagates a NaN from any chunk as the whole-array max does.
+    The steps arrive as pairs (steps, neg_tau) of consecutive steps and the
+    negated exact clock after each, as `_compliant_blocks` yields them, so
+    no full-length array is ever built.  The result is bit for bit that of
+    one cumprod over the joined sequence: numpy accumulates sequentially,
+    so element k of a whole-array cumprod is ((1 - s0) (1 - s1)) ...
+    (1 - sk), and seeding a piece's first element with the carried node,
+    x * (1 - s0), continues exactly that chain of roundings.  The work
+    arrays are reused from piece to piece and grow only for a longer one.
+    Node 0 contributes |exp(0) - 1| = 0, the initial value of the running
+    max, which propagates a NaN from any piece as the whole-array max does.
     """
-    tau, x, worst = 0.0, 1.0, 0.0
-    for block in blocks:
-        for start in range(0, block.size, _DECAY_CHUNK):
-            s = block[start:start + _DECAY_CHUNK]
-            t = s.copy()
-            t[0] = tau + t[0]
-            np.cumsum(t, out=t)
-            xs = 1.0 - s
-            xs[0] = x * xs[0]
-            np.cumprod(xs, out=xs)
-            tau, x = float(t[-1]), float(xs[-1])
-            np.negative(t, out=t)
-            np.exp(t, out=t)
-            np.subtract(t, xs, out=t)
-            np.abs(t, out=t)
-            worst = float(np.maximum(worst, np.max(t)))
+    x, worst = 1.0, 0.0
+    xs = err = np.empty(0)
+    for steps, neg_tau in pieces:
+        n = steps.size
+        if n == 0:
+            continue
+        if xs.size < n:
+            xs, err = np.empty(n), np.empty(n)
+        x_run, e = xs[:n], err[:n]
+        np.subtract(1.0, steps, out=x_run)
+        x_run[0] *= x
+        np.cumprod(x_run, out=x_run)
+        x = float(x_run[-1])
+        np.exp(neg_tau, out=e)
+        np.subtract(e, x_run, out=e)
+        np.abs(e, out=e)
+        worst = float(np.maximum(worst, np.max(e)))
     return worst
 
 
@@ -422,8 +423,8 @@ def _check_error_budget(tol, rng):
     sups = []
     hs = (1e-1, 1e-2, 1e-3)
     for h in hs:
-        n = int(round(50.0 / h))
-        sups.append(_euler_decay_errors([np.full(n, h)]))
+        steps = np.full(int(round(50.0 / h)), h)
+        sups.append(_euler_decay_errors([(steps, -np.cumsum(steps))]))
     slope = float(np.polyfit(np.log(hs), np.log(sups), 1)[0])
     ratio = slope / target
     ok_order = (1.0 / tol.order_reduction_factor

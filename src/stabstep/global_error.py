@@ -149,28 +149,120 @@ def defect_orders(field: VectorField, x: Array) -> list[tuple]:
     return out
 
 
+_PIECE = 1 << 15
+_MAX_BLOCK_DRAWS = 1 << 31
+# bit generators whose `advance(n)` moves past exactly n doubles
+_SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _skip_doubles(rng: np.random.Generator, count: int, buf: Array) -> None:
+    """Leave `rng` as drawing `count` doubles would, without drawing them.
+
+    PCG64 and PCG64DXSM take one state step per double, so `advance` skips
+    them, unless half of a 32-bit draw is still buffered (`has_uint32`),
+    which `advance` would drop.  `advance` also zeroes the spent half-word
+    `uinteger`; it is put back so the state compares equal.  Any other
+    generator draws the doubles into `buf` and discards them.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) in _SKIPPABLE:
+        state = bitgen.state
+        if not state["has_uint32"]:
+            bitgen.advance(count)
+            if state["uinteger"]:
+                spent = state["uinteger"]
+                state = bitgen.state
+                state["uinteger"] = spent
+                bitgen.state = state
+            return
+    while count > 0:
+        rng.random(out=buf[:min(count, buf.size)])
+        count -= buf.size
+
+
 def _compliant_blocks(
     budget: ErrorBudget,
     phi_cap: float,
     t_end: float,
     rng: np.random.Generator,
-) -> Iterator[Array]:
-    """The blocks of `compliant_steps`, yielded one at a time as drawn."""
+) -> Iterator[tuple[Array, Array]]:
+    """The steps of `compliant_steps` with their clock, in pieces.
+
+    Yields pairs (steps, neg_tau) of at most 2**15 consecutive steps and
+    the negated exact clock after each, -tau[i+1] with
+    tau[i+1] = tau[i] + h[i] chained from tau[0] = 0 over the whole
+    sequence.  Both are views into buffers this generator reuses, valid
+    until the next item is requested.
+
+    A block draws n = ceil(0.05 / (0.5 bound)) + 1 uniforms but keeps only
+    the steps up to the block's end, about two thirds of them.  Here only
+    those are drawn, in chunks sized at the expected kept count; the chained
+    sums carry across chunks exactly, because numpy accumulates
+    sequentially.  The rest of the n are skipped (see `_skip_doubles`).
+    Consumed to the end, with nothing else drawing from `rng` meanwhile,
+    the steps and the generator's state are bit for bit those of drawing
+    `bound * rng.uniform(0.5, 1.0, n)` per block.  One complex cumsum runs
+    both sums: its real part is the block's partial sum, whose
+    tau + cumsum places the block's end, and its imaginary part is -tau.
+
+    Refuses, before drawing, a rule step that is not positive and a block
+    that would need more than 2**31 draws.
+    """
     if not 0.0 < t_end < math.inf:
         raise ConfigurationError(
             f"compliant steps need a horizon 0 < t_end < inf, got {t_end}"
         )
-    lo, hi = 0.5, 1.0
-    tau = 0.0
+    steps = np.empty(_PIECE)
+    sums = np.empty(_PIECE, dtype=complex)
+    neg_tau = np.empty(_PIECE)
+    tau = 0.0       # start of the block, on the rule's clock
+    clock = 0.0     # the exact clock, negated
     while tau < t_end:
         bound = error_budget_step(budget, tau, phi_cap)
+        if not bound > 0.0:
+            raise ConfigurationError(
+                f"error-budget step at tau={tau!r} is {bound!r}; "
+                "compliant steps need a positive step"
+            )
         block_end = min(tau + 0.05, t_end)
-        n_est = max(1, int(math.ceil((block_end - tau) / (lo * bound))) + 1)
-        draws = bound * rng.uniform(lo, hi, size=n_est)
-        times = tau + np.cumsum(draws)
-        keep = int(np.searchsorted(times, block_end, side="left")) + 1
-        yield draws[:keep]
-        tau = float(times[min(keep, times.size) - 1])
+        half = 0.5 * bound
+        per_half = (block_end - tau) / half if half > 0.0 else math.inf
+        if per_half > _MAX_BLOCK_DRAWS - 1:
+            raise ConfigurationError(
+                f"error-budget step {bound!r} at tau={tau!r} needs more than "
+                "2**31 draws for one block"
+            )
+        n_est = max(1, int(math.ceil(per_half)) + 1)
+        # rule time reached: tau plus the block's partial sum
+        drawn, partial, reached = 0, 0.0, tau
+        while True:
+            m = min(_PIECE, n_est - drawn,
+                    int((block_end - reached) / (0.75 * bound) * 1.01) + 16)
+            d, z = steps[:m], sums[:m]
+            rng.random(out=d)
+            d *= 0.5
+            d += 0.5
+            d *= bound          # bound * uniform(0.5, 1.0), bit for bit
+            z.real = d
+            np.negative(d, out=z.imag)
+            z[0] += complex(partial, clock)
+            z.cumsum(out=z)
+            drawn += m
+            reached = tau + float(z.real[-1])
+            if reached < block_end and drawn < n_est:
+                partial, clock = float(z.real[-1]), float(z.imag[-1])
+                np.copyto(neg_tau[:m], z.imag)
+                yield d, neg_tau[:m]
+                continue
+            times = np.add(z.real, tau, out=neg_tau[:m])
+            keep = min(int(times.searchsorted(block_end)) + 1, m)
+            reached = float(times[keep - 1])
+            clock = float(z.imag[keep - 1])
+            np.copyto(neg_tau[:keep], z.imag[:keep])
+            _skip_doubles(rng, n_est - drawn, sums.view(float))
+            yield d[:keep], neg_tau[:keep]
+            break
+        tau = reached
 
 
 def compliant_steps(
@@ -186,8 +278,15 @@ def compliant_steps(
     [0.5, 1).  Because the rule is monotone increasing in tau, the frozen
     bound stays admissible for every step inside the block.  The horizon
     must satisfy 0 < t_end < inf.
+
+    Each block draws only the steps it keeps.  With a PCG64 or PCG64DXSM
+    generator the unused draws of the block's fixed count are skipped by
+    `advance`; any other generator, or a PCG64 holding half of a 32-bit
+    draw, draws them and discards them.  Either way the steps and the
+    generator's final state are those of drawing the full count.
     """
-    return np.concatenate(list(_compliant_blocks(budget, phi_cap, t_end, rng)))
+    return np.concatenate([steps.copy() for steps, _ in
+                           _compliant_blocks(budget, phi_cap, t_end, rng)])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Defects, global error measurement, and the two accuracy bounds."""
 
 import math
+from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stabstep.core import (
     ConfigurationError,
@@ -162,8 +164,8 @@ class TestCompliantSteps:
         budget = unit_budget(epsilon=0.01)
         rng_blocks = np.random.default_rng(53)
         rng_steps = np.random.default_rng(53)
-        joined = np.concatenate(list(_compliant_blocks(budget, 1.0, 6.0,
-                                                       rng_blocks)))
+        joined = np.concatenate([s.copy() for s, _ in _compliant_blocks(
+            budget, 1.0, 6.0, rng_blocks)])
         steps = compliant_steps(budget, 1.0, 6.0, rng_steps)
         assert np.array_equal(joined, steps)
         assert rng_blocks.random() == rng_steps.random()
@@ -176,6 +178,124 @@ class TestCompliantSteps:
             compliant_steps(unit_budget(), 1.0, t_end, rng)
         # refused before any draw
         assert rng.random() == untouched.random()
+
+    @pytest.mark.parametrize("budget", [
+        unit_budget(epsilon=1e-120),        # the rule underflows to 0
+        ErrorBudget(epsilon=0.1, sigma=1.0, lam=0.5,
+                    a_gain=lambda s: math.nan if s else 0.0, l_of_x0=1.0,
+                    k_of_x0=0.5, p=1, x0_norm=1.0),
+    ], ids=["zero", "nan"])
+    def test_degenerate_rule_step_is_refused(self, budget):
+        rng = np.random.default_rng(55)
+        untouched = np.random.default_rng(55)
+        with pytest.raises(ConfigurationError,
+                           match=r"step at tau=0\.0 is (0\.0|nan)"):
+            compliant_steps(budget, 1.0, 1.0, rng)
+        assert rng.random() == untouched.random()
+
+    def test_block_beyond_two_to_the_31_draws_is_refused(self):
+        # the rule's first step 4 (2/eps)^-3 = 5e-13 needs 2e11 draws
+        budget = unit_budget(epsilon=1e-4)
+        rng = np.random.default_rng(56)
+        untouched = np.random.default_rng(56)
+        with pytest.raises(ConfigurationError, match=r"step 5e-13 at "
+                           r"tau=0\.0 needs more than 2\*\*31 draws"):
+            compliant_steps(budget, 1.0, 1.0, rng)
+        assert rng.random() == untouched.random()
+
+
+# `_compliant_blocks` as it was before it drew only the kept steps: every
+# block draws its full count at once.  The pieces must match it bit for bit.
+def _reference_blocks(
+    budget: ErrorBudget,
+    phi_cap: float,
+    t_end: float,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """The blocks of `compliant_steps`, yielded one at a time as drawn."""
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(
+            f"compliant steps need a horizon 0 < t_end < inf, got {t_end}"
+        )
+    lo, hi = 0.5, 1.0
+    tau = 0.0
+    while tau < t_end:
+        bound = error_budget_step(budget, tau, phi_cap)
+        block_end = min(tau + 0.05, t_end)
+        n_est = max(1, int(math.ceil((block_end - tau) / (lo * bound))) + 1)
+        draws = bound * rng.uniform(lo, hi, size=n_est)
+        times = tau + np.cumsum(draws)
+        keep = int(np.searchsorted(times, block_end, side="left")) + 1
+        yield draws[:keep]
+        tau = float(times[min(keep, times.size) - 1])
+
+
+def _buffered_pcg64(seed):
+    """A PCG64 holding the unused half of a 32-bit draw."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 1000, dtype=np.int32)
+    return rng
+
+
+def _spent_pcg64(seed):
+    """A PCG64 that has used both halves of a 32-bit draw."""
+    rng = _buffered_pcg64(seed)
+    rng.integers(0, 1000, dtype=np.int32)
+    return rng
+
+
+GENERATORS = {
+    "pcg64": np.random.default_rng,
+    "pcg64-buffered": _buffered_pcg64,
+    "pcg64-spent": _spent_pcg64,
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+}
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, for comparison."""
+    return {k: _plain(v) if isinstance(v, dict)
+            else v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in state.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_step=st.floats(-5.0, 0.5),
+       sigma=st.floats(0.5, 2.0), lam=st.floats(0.2, 0.95),
+       phi_cap=st.floats(0.01, 2.0), t_end=st.floats(0.01, 2.0),
+       generator=st.sampled_from(sorted(GENERATORS)))
+# one block of about 149,000 kept steps
+@example(seed=1, log_step=-6.35, sigma=1.0, lam=0.5, phi_cap=1.0,
+         t_end=0.05, generator="mt19937")
+# a first block of just over 2**15 kept steps, overrunning its first chunk
+@example(seed=2, log_step=-5.7, sigma=0.5, lam=0.5, phi_cap=1.0,
+         t_end=0.15, generator="pcg64")
+# a tail of one-step blocks once the rule reaches phi_cap
+@example(seed=3, log_step=-1.0, sigma=2.0, lam=0.9, phi_cap=0.2,
+         t_end=2.0, generator="pcg64-buffered")
+def test_blocks_match_the_full_draw_reference(seed, log_step, sigma, lam,
+                                              phi_cap, t_end, generator):
+    """Drawing only the kept steps gives the steps, the exact clock and the
+    generator state of drawing every block's full count."""
+    # epsilon solved from the rule's first step 10**log_step, so that the
+    # sequences stay short: 4 (2/eps)^expo with expo = -(1/sigma + lam)/lam
+    expo = -(1.0 / sigma + lam) / lam
+    epsilon = 2.0 / (10.0 ** log_step / 4.0) ** (1.0 / expo)
+    budget = ErrorBudget(epsilon=epsilon, sigma=sigma, lam=lam,
+                         a_gain=lambda s: s, l_of_x0=1.0, k_of_x0=0.5,
+                         p=1, x0_norm=1.0)
+    rng_ref, rng = GENERATORS[generator](seed), GENERATORS[generator](seed)
+    expected = np.concatenate(list(_reference_blocks(budget, phi_cap, t_end,
+                                                     rng_ref)))
+    pieces = [(s.copy(), t.copy())
+              for s, t in _compliant_blocks(budget, phi_cap, t_end, rng)]
+    joined = np.concatenate([s for s, _ in pieces])
+    clock = -np.concatenate([t for _, t in pieces])
+    assert all(s.size <= 2**15 for s, _ in pieces)
+    assert joined.tobytes() == expected.tobytes()
+    assert clock.tobytes() == np.cumsum(joined).tobytes()
+    assert _plain(rng.bit_generator.state) \
+        == _plain(rng_ref.bit_generator.state)
 
 
 class TestErrorReport:
