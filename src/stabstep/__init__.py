@@ -19,7 +19,6 @@ from .core import (
     IMPROVED_POLYGON,
     KUTTA3,
     OracleError,
-    ReferenceSolution,
     RK4,
     StageSolveError,
     VectorField,
@@ -77,7 +76,6 @@ from .global_error import (
     order_reduction_exponent,
 )
 from .applications import (
-    ConvexObjective,
     ExampleSystem,
     NlpFlow,
     NlpResult,
@@ -90,8 +88,6 @@ from .applications import (
     max_decrease_step,
     nlp_flow,
     nlp_solve,
-    quadratic_objective,
-    solve_kkt,
     stiff_experiment,
     stiff_phi,
     write_steps_csv,
@@ -111,10 +107,9 @@ __all__ = [
     # core
     "ButcherTableau", "ConfigurationError", "ConstantController",
     "ControllerError", "EULER", "HEUN", "HybridTrajectory", "IMPLICIT_EULER",
-    "IMPROVED_POLYGON", "KUTTA3", "OracleError", "ReferenceSolution", "RK4",
-    "StageSolveError", "VectorField", "advance", "linear_field",
-    "reference_at_times", "reference_solve", "rk_increment", "write_csv",
-    "write_trajectory_csv",
+    "IMPROVED_POLYGON", "KUTTA3", "OracleError", "RK4", "StageSolveError",
+    "VectorField", "advance", "linear_field", "reference_at_times",
+    "reference_solve", "rk_increment", "write_csv", "write_trajectory_csv",
     # lyapunov
     "CertificationReport", "DecreaseCertificate", "EulerQController",
     "HalvingController", "LinearQuadraticController", "LyapunovFunction",
@@ -132,11 +127,10 @@ __all__ = [
     "error_bound", "error_bound_finite_time", "error_budget_step",
     "error_report", "order_reduction_exponent",
     # applications
-    "ConvexObjective", "ExampleSystem", "NlpFlow", "NlpResult", "STIFF_A",
-    "STIFF_P", "SWEEP_TABLEAUS", "boundary_sweep", "euler_f2_limit_radius",
+    "ExampleSystem", "NlpFlow", "NlpResult", "STIFF_A", "STIFF_P",
+    "SWEEP_TABLEAUS", "boundary_sweep", "euler_f2_limit_radius",
     "example_fields", "max_decrease_step", "nlp_flow", "nlp_solve",
-    "quadratic_objective", "solve_kkt", "stiff_experiment", "stiff_phi",
-    "write_steps_csv", "write_sweep_csv",
+    "stiff_experiment", "stiff_phi", "write_steps_csv", "write_sweep_csv",
     # acceptance
     "AcceptanceTolerances", "CRITERIA", "CriterionResult", "run_all",
     "run_criterion",

@@ -47,8 +47,6 @@ from .applications import (
     max_decrease_step,
     nlp_flow,
     nlp_solve,
-    quadratic_objective,
-    solve_kkt,
     stiff_experiment,
 )
 
@@ -114,7 +112,7 @@ def _check_stiff_reproduction(tol, rng):
     ok = True
     for lam, expect in _STIFF_TARGETS:
         t0 = time.perf_counter()
-        _, t_final = stiff_experiment(lam, 1.0, (1.0, 1.1), 500)
+        t_final = stiff_experiment(lam, 1.0, (1.0, 1.1), 500).final_time
         dt = time.perf_counter() - t0
         rel = abs(t_final - expect) / expect
         good = rel <= tol.stiff_rel_tol and dt < tol.stiff_runtime_s
@@ -125,7 +123,7 @@ def _check_stiff_reproduction(tol, rng):
 
 
 def _check_step_pattern(tol, rng):
-    traj, _ = stiff_experiment(0.6, 1.0, (1.0, 1.1), 500)
+    traj = stiff_experiment(0.6, 1.0, (1.0, 1.1), 500)
     big = int(np.sum(traj.steps >= tol.big_step))
     small = int(np.sum(traj.steps <= tol.small_step))
     ok = big >= tol.min_big_steps and small >= tol.min_small_steps
@@ -330,8 +328,8 @@ def _check_agreement(tol, rng):
 
 def _check_nlp_convergence(tol, rng):
     notes = []
-    flow = nlp_flow(quadratic_objective(np.eye(2), np.zeros(2)),
-                    np.array([[1.0, 1.0]]), np.array([1.0]))
+    flow = nlp_flow(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                    np.array([1.0]))
     target = np.array([0.5, 0.5, -0.5])
     res = nlp_solve(flow, np.zeros(3), lam=0.5, r=1.0, tol=1e-7)
     dist = float(np.linalg.norm(res.w - target))
@@ -355,14 +353,12 @@ def _check_nlp_convergence(tol, rng):
             mu_min = float(np.min(np.abs(np.linalg.eigvalsh(kkt)))) ** 2
             if mu_min >= 0.09:
                 break
-        obj = quadratic_objective(q, c)
-        star = solve_kkt(obj, a, b)
-        flow_k = nlp_flow(obj, a, b)
+        flow_k = nlp_flow(q, c, a, b)
         # |F(w)| >= mu_min |w - w*|, so this residual target implies the
         # distance target with a factor-2 margin.
         res_k = nlp_solve(flow_k, np.zeros(4), lam=0.5, r=1.0,
                           tol=0.5 * tol.nlp_atol * mu_min)
-        dist_k = float(np.linalg.norm(res_k.w - star))
+        dist_k = float(np.linalg.norm(res_k.w - flow_k.kkt_point))
         mono_k = bool(np.all(np.diff(res_k.v_history) < 0))
         good = dist_k <= tol.nlp_atol and mono_k and res_k.certified
         ok = ok and good

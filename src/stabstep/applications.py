@@ -151,12 +151,12 @@ def stiff_experiment(
     r: float = 1.0,
     x0: tuple[float, float] = (1.0, 1.1),
     n_steps: int = 500,
-) -> tuple[HybridTrajectory, float]:
+) -> HybridTrajectory:
     """Explicit Euler on the stiff pair with h = phi(x) exactly, on advance.
 
     n_steps counts the recorded states including the initial one, so
-    n_steps - 1 Euler updates are performed; the returned time is the
-    clock at the last recorded state.
+    n_steps - 1 Euler updates are performed; the trajectory's final_time
+    is the clock at the last recorded state.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be at least 1")
@@ -170,10 +170,9 @@ def stiff_experiment(
         x1, x2 = x.tolist()
         return np.array([x1 - (h * 1000.0) * x1, x2 + h * (x1 - x2)])
 
-    traj = advance(euler, None, lambda x, tau: stiff_phi(*x.tolist(), lam, r),
+    return advance(euler, None, lambda x, tau: stiff_phi(*x.tolist(), lam, r),
                    np.array([x1, x2]), math.inf,
                    max_steps=n_steps - 1, stop=lambda x: False)
-    return traj, traj.final_time
 
 
 STIFF_A = np.array([[-1000.0, 0.0], [1.0, -1.0]])
@@ -269,29 +268,6 @@ def write_steps_csv(traj: HybridTrajectory, path) -> None:
 
 
 @dataclass(frozen=True)
-class ConvexObjective:
-    """Strictly convex quadratic objective x'Qx/2 + c'x."""
-
-    q_matrix: Array
-    c_vec: Array
-
-
-def quadratic_objective(q: Array, c: Array) -> ConvexObjective:
-    """f(x) = x'Qx/2 + c'x with Q symmetric positive definite."""
-    q = np.asarray(q, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ConfigurationError("Q must be a square matrix")
-    if c.shape != (q.shape[0],):
-        raise ConfigurationError("c must have one entry per row of Q")
-    if not np.allclose(q, q.T, atol=1e-12):
-        raise ConfigurationError("Q must be symmetric")
-    if np.min(np.linalg.eigvalsh(q)) <= 0:
-        raise ConfigurationError("Q must be positive definite")
-    return ConvexObjective(q_matrix=q, c_vec=c)
-
-
-@dataclass(frozen=True)
 class NlpFlow:
     """Joint (x, z) descent field with its exact-decrease Lyapunov pairing.
 
@@ -308,35 +284,30 @@ class NlpFlow:
     kkt_point: Array
 
 
-def _kkt_matrix(q: Array, a: Array) -> Array:
-    """[[Q, A'], [A, 0]] for an n x n Q and m x n A."""
-    n, m = q.shape[0], a.shape[0]
-    g = np.zeros((n + m, n + m))
-    g[:n, :n] = q
-    g[:n, n:] = a.T
-    g[n:, :n] = a
-    return g
+def nlp_flow(q: Array, c: Array, a: Array, b: Array) -> NlpFlow:
+    """Build the primal-dual flow of min x'Qx/2 + c'x subject to Ax = b.
 
-
-def solve_kkt(objective: ConvexObjective, a: Array, b: Array) -> Array:
-    """Stationary point of the constrained quadratic program, as (x, z)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    rhs = np.concatenate([-objective.c_vec, b])
-    return np.linalg.solve(_kkt_matrix(objective.q_matrix, a), rhs)
-
-
-def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
-    """Build the primal-dual flow (x', z') = -grad V(x, z) in disguise.
-
-    x' = -(Q g + A'(Ax - b)) and z' = -A g with g = Qx + c + A'z;
-    V(x, z) = |g|^2/2 + |Ax - b|^2/2 then satisfies grad V = -(x', z'), so
-    V decays at rate |field|^2 along the flow.  With G the KKT matrix, the
-    Hessian of V is the constant G^2.
+    The flow is (x', z') = -grad V(x, z) in disguise: x' = -(Q g +
+    A'(Ax - b)) and z' = -A g with g = Qx + c + A'z; V(x, z) = |g|^2/2 +
+    |Ax - b|^2/2 then satisfies grad V = -(x', z'), so V decays at rate
+    |field|^2 along the flow.  With G the KKT matrix, the Hessian of V is
+    the constant G^2, and kkt_point solves G w = (-c, b).  A Q that is not
+    square, symmetric and positive definite, a c, A or b whose size does
+    not match Q's, and linearly dependent rows of A raise
+    ConfigurationError.
     """
+    q = np.asarray(q, dtype=float)
+    c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    q, c = objective.q_matrix, objective.c_vec
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ConfigurationError("Q must be a square matrix")
+    if c.shape != (q.shape[0],):
+        raise ConfigurationError("c must have one entry per row of Q")
+    if not np.allclose(q, q.T, atol=1e-12):
+        raise ConfigurationError("Q must be symmetric")
+    if np.min(np.linalg.eigvalsh(q)) <= 0:
+        raise ConfigurationError("Q must be positive definite")
     if a.ndim != 2 or a.shape[1] != q.shape[0]:
         raise ConfigurationError("A must have one column per row of Q")
     m, n = a.shape
@@ -358,7 +329,7 @@ def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
         g, cons = residuals(w)
         return 0.5 * float(g @ g) + 0.5 * float(cons @ cons)
 
-    gmat = _kkt_matrix(q, a)
+    gmat = np.block([[q, a.T], [a, np.zeros((m, m))]])
     gsq = gmat @ gmat
     field = VectorField(dim=n + m, f=fvec, jacobian=lambda w: -gsq)
     lyap = LyapunovFunction(v=v, grad=lambda w: -fvec(w),
@@ -366,7 +337,7 @@ def nlp_flow(objective: ConvexObjective, a: Array, b: Array) -> NlpFlow:
                             hess_constant=True)
     hess_norm = float(np.max(np.abs(np.linalg.eigvalsh(gmat)))) ** 2
     return NlpFlow(field=field, lyap=lyap, n=n, m=m, hess_norm=hess_norm,
-                   kkt_point=solve_kkt(objective, a, b))
+                   kkt_point=np.linalg.solve(gmat, np.concatenate([-c, b])))
 
 
 @dataclass(frozen=True)

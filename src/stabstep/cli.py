@@ -56,7 +56,6 @@ from .applications import (
     example_fields,
     nlp_flow,
     nlp_solve,
-    quadratic_objective,
     stiff_experiment,
     write_steps_csv,
     write_sweep_csv,
@@ -87,13 +86,13 @@ def _run_stiff(params, out, rng):
     lam = float(params["lambda"])
     r = float(params["r"])
     steps = int(params["steps"])
-    traj, t_final = stiff_experiment(lam, r, (1.0, 1.1), steps)
+    traj = stiff_experiment(lam, r, (1.0, 1.1), steps)
     lyap = quadratic_lyapunov(STIFF_P)
     report = certify_trajectory(lyap, traj, lam, field=linear_field(STIFF_A))
     _write_standard(traj, out, "stiff-6.14", report)
     big = int(np.sum(traj.steps >= 0.5))
     small = int(np.sum(traj.steps <= 2e-3))
-    return (f"t_final={t_final:.6f} final_norm="
+    return (f"t_final={traj.final_time:.6f} final_norm="
             f"{float(np.linalg.norm(traj.final_state)):.6e} "
             f"certified={report.ok} big_steps={big} small_steps={small}")
 
@@ -218,8 +217,8 @@ def _run_iss_trials(params, out, rng):
 def _run_nlp_qp(params, out, rng):
     lam = float(params["lambda"])
     tol = float(params["tol"])
-    flow = nlp_flow(quadratic_objective(np.eye(2), np.zeros(2)),
-                    np.array([[1.0, 1.0]]), np.array([1.0]))
+    flow = nlp_flow(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                    np.array([1.0]))
     res = nlp_solve(flow, np.zeros(3), lam=lam, r=1.0, tol=tol)
     _write_standard(res.trajectory, out, "nlp-qp")
     dist = float(np.linalg.norm(res.w - flow.kkt_point))

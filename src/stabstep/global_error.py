@@ -87,11 +87,9 @@ def error_bound(budget: ErrorBudget, d_i: float) -> float:
         raise ConfigurationError("defect supremum must be nonnegative")
     if d_i == 0.0:
         return 0.0
-    big_l = budget.l_of_x0
-    ls = budget.lam * budget.sigma
-    alpha = ls / (ls + big_l)
+    alpha = order_reduction_exponent(budget)
     amp = 2.0 * float(budget.a_gain(budget.x0_norm))
-    return (d_i / big_l) ** alpha * amp ** (1.0 - alpha)
+    return (d_i / budget.l_of_x0) ** alpha * amp ** (1.0 - alpha)
 
 
 def order_reduction_exponent(budget: ErrorBudget) -> float:
@@ -123,10 +121,10 @@ def defect(
     field: VectorField, tableau: ButcherTableau, x: Array, h: float
 ) -> float:
     """Local defect norm |(z(h,x) - x)/h - F(h,x)|, with z to 1e-13."""
-    if h <= 0:
+    if not h > 0:
         raise ConfigurationError("defect needs h > 0")
     x = np.asarray(x, dtype=float)
-    z = reference_solve(field, x, h, 1e-13).final_state
+    z = reference_solve(field, x, h, 1e-13)
     incr = rk_increment(tableau, field, x, h)
     return float(np.linalg.norm((z - x) / h - incr))
 

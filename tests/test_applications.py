@@ -23,8 +23,6 @@ from stabstep.applications import (
     max_decrease_step,
     nlp_flow,
     nlp_solve,
-    quadratic_objective,
-    solve_kkt,
     stiff_experiment,
     stiff_phi,
 )
@@ -125,26 +123,26 @@ class TestStiffPair:
         assert stiff_phi(1e-170, 1e-170, 0.5, 2.0) == 2.0  # den underflows
 
     def test_a_step_onto_the_origin(self):
-        traj, t_final = stiff_experiment(0.5, 1.0, (0.0, 1.0), 3)
+        traj = stiff_experiment(0.5, 1.0, (0.0, 1.0), 3)
         assert traj.states.tolist() == [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
         assert traj.steps.tolist() == [1.0, 1.0]
-        assert t_final == 2.0
+        assert traj.final_time == 2.0
 
     def test_final_times_match_pinned_values(self):
-        _, t6 = stiff_experiment(0.6)
-        _, t9 = stiff_experiment(0.9)
+        t6 = stiff_experiment(0.6).final_time
+        t9 = stiff_experiment(0.9).final_time
         assert t6 == pytest.approx(12.71372, rel=1e-3)
         assert t9 == pytest.approx(3.798454, rel=1e-3)
 
     def test_node_count_convention(self):
-        traj, _ = stiff_experiment(0.6, n_steps=500)
+        traj = stiff_experiment(0.6, n_steps=500)
         assert traj.tau.size == 500
         assert traj.steps.size == 499
 
     def test_trajectory_certifies(self):
         from stabstep.core import linear_field
         from stabstep.lyapunov import certify_trajectory, quadratic_lyapunov
-        traj, _ = stiff_experiment(0.6)
+        traj = stiff_experiment(0.6)
         report = certify_trajectory(quadratic_lyapunov(STIFF_P), traj, 0.6,
                                     field=linear_field(STIFF_A))
         assert report.ok
@@ -169,20 +167,19 @@ def _stiff_loop(lam, r=1.0, x0=(1.0, 1.1), n_steps=500):
         taus.append(t)
         states.append((x1, x2))
         steps.append(h)
-    traj = HybridTrajectory(
+    return HybridTrajectory(
         tau=np.array(taus), states=np.array(states), steps=np.array(steps)
     )
-    return traj, traj.final_time
 
 
 def _run_or_error(run, *args):
     """The run's nodes, steps and final time, or the type of its error."""
     try:
-        traj, t_final = run(*args)
+        traj = run(*args)
     except Exception as exc:
         return type(exc)
     return (traj.tau.tolist(), traj.states.tolist(), traj.steps.tolist(),
-            t_final)
+            traj.final_time)
 
 
 _coordinate = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
@@ -236,13 +233,12 @@ class TestBoundarySweep:
 
 class TestNlpFlow:
     def pinned(self):
-        obj = quadratic_objective(np.eye(2), np.zeros(2))
-        return nlp_flow(obj, np.array([[1.0, 1.0]]), np.array([1.0]))
+        return nlp_flow(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                        np.array([1.0]))
 
     def test_kkt_solution(self):
-        obj = quadratic_objective(np.eye(2), np.zeros(2))
-        w = solve_kkt(obj, np.array([[1.0, 1.0]]), np.array([1.0]))
-        np.testing.assert_allclose(w, [0.5, 0.5, -0.5], rtol=1e-14)
+        np.testing.assert_allclose(self.pinned().kkt_point, [0.5, 0.5, -0.5],
+                                   rtol=1e-14)
 
     def test_v_at_origin(self):
         flow = self.pinned()
@@ -277,9 +273,9 @@ class TestNlpFlow:
         # the pinned QP and one random QP drawn as criterion 9 draws them
         rng = np.random.default_rng(5)
         basis = rng.standard_normal((3, 3))
-        obj = quadratic_objective(basis.T @ basis + np.eye(3),
-                                  rng.standard_normal(3))
-        random_qp = nlp_flow(obj, rng.standard_normal((1, 3)),
+        random_qp = nlp_flow(basis.T @ basis + np.eye(3),
+                             rng.standard_normal(3),
+                             rng.standard_normal((1, 3)),
                              rng.standard_normal(1))
         for flow, w0 in ((self.pinned(), np.zeros(3)),
                          (random_qp, np.zeros(4))):
@@ -363,20 +359,26 @@ class TestNlpFlow:
         expected = float(np.max(np.abs(np.linalg.eigvalsh(g))) ** 2)
         assert flow.hess_norm == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("q, c, a", [
-        pytest.param(np.eye(3), np.zeros(3), [[1.0, 1.0]], id="A-vs-Q"),
-        pytest.param(np.eye(2), np.zeros(3), [[1.0, 1.0]], id="c-vs-Q"),
-        pytest.param(np.ones((2, 3)), np.zeros(2), [[1.0, 1.0]],
-                     id="Q-not-square"),
+    @pytest.mark.parametrize("q, c, a, b, message", [
+        pytest.param(np.ones((2, 3)), np.zeros(2), [[1.0, 1.0]], [1.0],
+                     "Q must be a square matrix", id="Q-not-square"),
+        pytest.param([[1.0, 0.5], [0.0, 1.0]], np.zeros(2), [[1.0, 1.0]],
+                     [1.0], "Q must be symmetric", id="Q-not-symmetric"),
+        pytest.param([[1.0, 0.0], [0.0, -1.0]], np.zeros(2), [[1.0, 1.0]],
+                     [1.0], "Q must be positive definite", id="Q-not-PD"),
+        pytest.param(np.eye(2), np.zeros(3), [[1.0, 1.0]], [1.0],
+                     "c must have one entry per row of Q", id="c-vs-Q"),
+        pytest.param(np.eye(3), np.zeros(3), [[1.0, 1.0]], [1.0],
+                     "A must have one column per row of Q", id="A-vs-Q"),
+        pytest.param(np.eye(2), np.zeros(2), [[1.0, 1.0]], [1.0, 2.0],
+                     "b must have one entry per constraint row", id="b-vs-A"),
     ])
-    def test_size_mismatch_is_refused(self, q, c, a):
-        # refused before numpy meets the mismatched shapes
-        with pytest.raises(ConfigurationError, match="Q"):
-            nlp_flow(quadratic_objective(q, c), a, [1.0])
+    def test_malformed_qp_is_refused(self, q, c, a, b, message):
+        # refused before numpy meets the malformed arrays
+        with pytest.raises(ConfigurationError, match=message):
+            nlp_flow(q, c, a, b)
 
     def test_infeasible_constraints_rejected(self):
-        obj = quadratic_objective(np.eye(2), np.zeros(2))
         a = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank deficient
-        from stabstep.core import ConfigurationError
         with pytest.raises(ConfigurationError):
-            nlp_flow(obj, a, np.array([1.0, 2.0]))
+            nlp_flow(np.eye(2), np.zeros(2), a, np.array([1.0, 2.0]))

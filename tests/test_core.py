@@ -162,7 +162,7 @@ class TestRkIncrement:
         hs = np.logspace(h_lo, -0.5, 5)
         errs = []
         for h in hs:
-            truth = reference_solve(f, x, float(h), tol=1e-13).final_state
+            truth = reference_solve(f, x, float(h), tol=1e-13)
             inc = rk_increment(tab, f, x, float(h))
             errs.append(np.linalg.norm(x + h * inc - truth))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -405,20 +405,18 @@ class TestTrajectory:
 class TestReferenceOracle:
     def test_scalar_decay_endpoint(self):
         f = scalar_decay()
-        x = reference_solve(f, np.array([1.0]), 1.0, tol=1e-12).final_state
+        x = reference_solve(f, np.array([1.0]), 1.0, tol=1e-12)
         assert x[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_half_turn_of_rotation(self):
         rot = linear_field(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        x = reference_solve(rot, np.array([1.0, 0.0]), math.pi,
-                            tol=1e-12).final_state
+        x = reference_solve(rot, np.array([1.0, 0.0]), math.pi, tol=1e-12)
         np.testing.assert_allclose(x, [-1.0, 0.0], atol=1e-11)
 
-    def test_error_estimate_reported(self):
+    def test_end_state_is_within_tol(self):
         f = scalar_decay()
-        sol = reference_solve(f, np.array([1.0]), 2.0, tol=1e-10)
-        assert sol.error_estimate <= 1e-10
-        assert sol.final_state[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
+        x = reference_solve(f, np.array([1.0]), 2.0, tol=1e-10)
+        assert abs(x[0] - math.exp(-2.0)) < 1e-10
 
     def test_at_times_matches_closed_form(self):
         f = scalar_decay()
@@ -430,6 +428,27 @@ class TestReferenceOracle:
         f = scalar_decay()
         with pytest.raises(OracleError):
             reference_at_times(f, np.array([1.0]), np.array([0.1, 0.2]))
+
+    def test_non_finite_times_are_refused(self):
+        # a NaN time makes every dt > 0 test false, which would return x0
+        with pytest.raises(OracleError, match="finite"):
+            reference_at_times(scalar_decay(), np.array([1.0]),
+                               [0.0, math.nan, 1.0])
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_t_end_is_refused(self, t_end):
+        with pytest.raises(OracleError, match="finite t_end"):
+            reference_solve(scalar_decay(), np.array([1.0]), t_end)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_unreachable_tol_is_refused_before_the_first_step(self, tol):
+        # err < tol never holds, so the doubling would run to ~2^40 steps
+        def field_not_called(x):
+            raise AssertionError("the oracle stepped")
+
+        with pytest.raises(OracleError, match="tol > 0"):
+            reference_solve(VectorField(1, field_not_called),
+                            np.array([1.0]), 1.0, tol)
 
     def test_blow_up_raises_instead_of_refining_forever(self):
         # x' = x^2 from 2 blows up at t = 1/2, so every RK4 grid to t = 1

@@ -51,6 +51,11 @@ class TestDefect:
     def test_vanishes_at_equilibrium(self):
         assert defect(DECAY, EULER, np.array([0.0]), 0.3) == 0.0
 
+    def test_nan_step_is_refused(self):
+        # NaN passes an `h <= 0` test
+        with pytest.raises(ConfigurationError, match="h > 0"):
+            defect(DECAY, EULER, np.array([1.0]), math.nan)
+
     @pytest.mark.parametrize("tab,order", [(EULER, 1), (HEUN, 2),
                                            (KUTTA3, 3)])
     def test_order_in_h(self, tab, order):
