@@ -41,16 +41,10 @@ from .lyapunov import (
     decrease_test,
     euler_q_phi,
     halving_controller,
-    k1_phi,
     linear_phi,
     quadratic_lyapunov,
 )
-from .implicit import (
-    check_midpoint_convexity,
-    convex_decrease_check,
-    gradient_system_field,
-    implicit_euler_step,
-)
+from .implicit import implicit_euler_step
 from .smallgain import (
     CascadeSystem,
     IssCheckResult,
@@ -114,10 +108,9 @@ __all__ = [
     "CertificationReport", "DecreaseCertificate", "EulerQController",
     "HalvingController", "LinearQuadraticController", "LyapunovFunction",
     "certify_trajectory", "decrease_test", "euler_q_phi", "halving_controller",
-    "k1_phi", "linear_phi", "quadratic_lyapunov",
+    "linear_phi", "quadratic_lyapunov",
     # implicit
-    "check_midpoint_convexity", "convex_decrease_check",
-    "gradient_system_field", "implicit_euler_step",
+    "implicit_euler_step",
     # smallgain
     "CascadeSystem", "IssCheckResult", "advance_chain", "advection_chain",
     "chain_decay_trials", "iss_estimate_check", "partitioned_step",

@@ -291,15 +291,18 @@ def nlp_flow(q: Array, c: Array, a: Array, b: Array) -> NlpFlow:
     A'(Ax - b)) and z' = -A g with g = Qx + c + A'z; V(x, z) = |g|^2/2 +
     |Ax - b|^2/2 then satisfies grad V = -(x', z'), so V decays at rate
     |field|^2 along the flow.  With G the KKT matrix, the Hessian of V is
-    the constant G^2, and kkt_point solves G w = (-c, b).  A Q that is not
-    square, symmetric and positive definite, a c, A or b whose size does
-    not match Q's, and linearly dependent rows of A raise
-    ConfigurationError.
+    the constant G^2, and kkt_point solves G w = (-c, b).  A Q, c, A or b
+    that is not finite, a Q that is not square, symmetric and positive
+    definite, a c, A or b whose size does not match Q's, and linearly
+    dependent rows of A raise ConfigurationError.
     """
     q = np.asarray(q, dtype=float)
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    for name, arr in (("Q", q), ("c", c), ("A", a), ("b", b)):
+        if not np.isfinite(arr).all():
+            raise ConfigurationError(f"{name} must be finite")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ConfigurationError("Q must be a square matrix")
     if c.shape != (q.shape[0],):

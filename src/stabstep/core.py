@@ -402,19 +402,23 @@ def advance(
     stop(x) is asked whether the run is done; without a stop rule the run
     ends once |x| < 1e-14.  Then max_steps is checked, and only then is the
     controller called, as controller(x, tau).  It returns either a base
-    step or a (base step, certificate) pair.  A nonnegative input u_input
-    shrinks the realized step to base * exp(-u_input(tau)).  A non-finite
-    state raises FloatingPointError rather than ending the run as if it
-    had converged.
+    step or a (base step, certificate) pair.  An input u_input shrinks the
+    realized step to base * exp(-u_input(tau)); a value of u that is
+    negative or not finite, and a NaN t_end, raise ConfigurationError.  A
+    non-finite state raises FloatingPointError rather than ending the run
+    as if it had converged.
 
     A certificate that carries the state it tested (`x_next`, as
-    lyapunov.decrease_test records it) is taken as the next state, without
-    stepping again, only when it tested this very step: the same `x`
-    object, the same realized h, and the same tableau and field objects as
-    this call.  Otherwise, for instance when u_input shrinks the step, the
-    scheme steps here.  Both paths compute x + h * F(h, x) from the same
-    operands, so the states are bit-identical.
+    lyapunov.decrease_test records it) must come from this call's tableau
+    and field objects, or ConfigurationError is raised.  Its state is
+    taken as the next one, without stepping again, when it tested this
+    very step: the same `x` object and the same realized h.  Otherwise,
+    for instance when u_input shrinks the step, the scheme steps here.
+    Both paths compute x + h * F(h, x) from the same operands, so the
+    states are bit-identical.
     """
+    if math.isnan(t_end):
+        raise ConfigurationError("t_end must not be NaN")
     x = np.asarray(x0, dtype=float).copy()
     tau = 0.0
     taus = [tau]
@@ -437,11 +441,18 @@ def advance(
             raise ControllerError(f"controller proposed step {h_base} at tau={tau}")
         h = h_base
         if u_input is not None:
-            h = h_base * math.exp(-float(u_input(tau)))
+            u = float(u_input(tau))
+            if not 0.0 <= u < math.inf:
+                raise ConfigurationError(
+                    f"input u={u} at tau={tau} must be nonnegative and finite")
+            h = h_base * math.exp(-u)
         x_next = getattr(cert, "x_next", None)
-        if x_next is None or not (cert.x is x and cert.h == h
-                                  and cert.tableau is scheme
-                                  and cert.field is field):
+        if x_next is not None and (cert.tableau is not scheme
+                                   or cert.field is not field):
+            raise ConfigurationError(
+                f"certificate at tau={tau} was computed under another "
+                f"tableau or field")
+        if x_next is None or not (cert.x is x and cert.h == h):
             x_next = (scheme(x, h) if callable(scheme)
                       else x + h * rk_increment(scheme, field, x, h))
         x = x_next

@@ -31,6 +31,7 @@ from .core import (
     rk_increment,
     write_csv,
 )
+from .lyapunov import check_lam
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,9 @@ class ErrorBudget:
     a_gain is the K-infinity envelope gain of the exact flow,
     l_of_x0 the increment Lipschitz constant, k_of_x0 the defect constant
     (|defect| <= K h^p), p the scheme order, x0_norm the initial-state norm
-    the gain is evaluated at.
+    the gain is evaluated at.  lam must lie in (0, 1) and the other
+    constants must be positive and finite, except epsilon, which may be
+    inf: no accuracy target, so error_budget_step returns its cap.
     """
 
     epsilon: float
@@ -53,10 +56,13 @@ class ErrorBudget:
     x0_norm: float
 
     def __post_init__(self):
-        for name in ("epsilon", "sigma", "lam", "l_of_x0", "k_of_x0", "x0_norm"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.p < 1:
+        if not self.epsilon > 0:
+            raise ConfigurationError("epsilon must be positive")
+        for name in ("sigma", "l_of_x0", "k_of_x0", "x0_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
+        check_lam(self.lam)
+        if not self.p >= 1:
             raise ConfigurationError("p must be a positive integer")
         if float(self.a_gain(0.0)) != 0.0:
             raise ConfigurationError("a_gain(0) must be 0")
@@ -74,7 +80,7 @@ def global_error(traj: HybridTrajectory, field: VectorField) -> Array:
 
 def error_bound_finite_time(budget: ErrorBudget, d_i: float, tau: float) -> float:
     """Horizon-dependent bound (D/L)(e^{L tau} - 1)."""
-    if d_i < 0:
+    if not d_i >= 0:
         raise ConfigurationError("defect supremum must be nonnegative")
     big_l = budget.l_of_x0
     return (d_i / big_l) * math.expm1(big_l * tau)
@@ -83,7 +89,7 @@ def error_bound_finite_time(budget: ErrorBudget, d_i: float, tau: float) -> floa
 def error_bound(budget: ErrorBudget, d_i: float) -> float:
     """Horizon-free bound (D/L)^{ls/(ls+L)} (2a(|x0|))^{L/(ls+L)}, which
     holds uniformly in time."""
-    if d_i < 0:
+    if not d_i >= 0:
         raise ConfigurationError("defect supremum must be nonnegative")
     if d_i == 0.0:
         return 0.0

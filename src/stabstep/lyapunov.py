@@ -35,8 +35,8 @@ _MAX_HALVINGS = 40
 
 
 def within_slack(lhs: float, rhs: float) -> bool:
-    """lhs <= rhs up to the relative roundoff slack that every decrease and
-    convexity check in the package shares; a NaN on either side fails."""
+    """lhs <= rhs up to the relative roundoff slack that decrease_test and
+    certify_trajectory share; a NaN on either side fails."""
     return lhs <= rhs + _SLACK * max(1.0, abs(rhs))
 
 
@@ -59,8 +59,8 @@ class LyapunovFunction:
 
     convex declares V convex, which implicit Euler's unconditional decrease
     needs.  hess_constant declares that hess returns the same matrix at
-    every x; the curvature step laws evaluate it once, at x, and refuse a
-    V without it.
+    every x; euler_q_phi evaluates it once, at x, and refuses a V without
+    it.
     V carries no field: every decrease threshold takes grad V(x) . f(x)
     from the field it is paired with.
     """
@@ -206,19 +206,6 @@ def halving_controller(
 # direct step formulas for the explicit Euler scheme
 
 
-def _check_curvature(lyap: LyapunovFunction) -> None:
-    """Refuse a V whose Hessian is missing or not declared constant: the
-    curvature step laws read it once, at x, as its bound over the step."""
-    if lyap.hess is None or not lyap.hess_constant:
-        raise ConfigurationError("curvature step laws need a Hessian "
-                                 "declared hess_constant")
-
-
-def _curvature(lyap: LyapunovFunction, x: Array, fx: Array) -> float:
-    """fx' H_V fx, fx = f(x): exact along the whole ray for a constant H_V."""
-    return float(fx @ np.asarray(lyap.hess(x), dtype=float) @ fx)
-
-
 def euler_q_phi(
     lyap: LyapunovFunction,
     field: VectorField,
@@ -237,43 +224,19 @@ def euler_q_phi(
     the curvature too, and the decrease test of the chosen step.
     """
     check_cap(r)
-    _check_curvature(lyap)
+    if lyap.hess is None or not lyap.hess_constant:
+        raise ConfigurationError("euler_q_phi needs a Hessian declared "
+                                 "hess_constant")
     x = np.asarray(x, dtype=float)
     fx, _, w = terms or state_terms(lyap, field, x)
     if w >= 0.0:
         if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
             return r
         raise ConfigurationError("grad V . f must be negative away from 0")
-    q = _curvature(lyap, x, fx)
+    q = float(fx @ np.asarray(lyap.hess(x), dtype=float) @ fx)
     if q <= 0.0:
         return r
     return min(2.0 * (1.0 - lam) * (-w) / q, r)
-
-
-def k1_phi(
-    lyap: LyapunovFunction,
-    field: VectorField,
-    x: Array,
-    lam: float,
-    r: float,
-) -> float:
-    """Explicit-Euler step from the quadratic remainder K_1 = f' H_V f / 2.
-
-    For a constant H_V, V(x + hf) - V(x) - h grad V . f is exactly K_1 h^2;
-    a V not declared hess_constant is refused with ConfigurationError.
-    """
-    check_cap(r)
-    _check_curvature(lyap)
-    x = np.asarray(x, dtype=float)
-    fx, _, w = state_terms(lyap, field, x)
-    if w >= 0.0:
-        if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
-            return r
-        raise ConfigurationError("grad V . f must be negative away from 0")
-    k1 = 0.5 * _curvature(lyap, x, fx)
-    if k1 <= 0.0:
-        return r
-    return min((1.0 - lam) * (-w) / k1, r)
 
 
 def linear_phi(a: Array, p: Array, x: Array, lam: float, r: float) -> float:

@@ -372,6 +372,14 @@ class TestNlpFlow:
                      "A must have one column per row of Q", id="A-vs-Q"),
         pytest.param(np.eye(2), np.zeros(2), [[1.0, 1.0]], [1.0, 2.0],
                      "b must have one entry per constraint row", id="b-vs-A"),
+        pytest.param([[math.nan, 0.0], [0.0, 1.0]], np.zeros(2),
+                     [[1.0, 1.0]], [1.0], "Q must be finite", id="Q-nan"),
+        pytest.param(np.eye(2), [math.nan, 0.0], [[1.0, 1.0]], [1.0],
+                     "c must be finite", id="c-nan"),
+        pytest.param(np.eye(2), np.zeros(2), [[math.nan, 1.0]], [1.0],
+                     "A must be finite", id="A-nan"),
+        pytest.param(np.eye(2), np.zeros(2), [[1.0, 1.0]], [math.inf],
+                     "b must be finite", id="b-inf"),
     ])
     def test_malformed_qp_is_refused(self, q, c, a, b, message):
         # refused before numpy meets the malformed arrays

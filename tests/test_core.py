@@ -266,6 +266,22 @@ class TestAdvance:
         np.testing.assert_array_equal(traj.tau, [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(traj.states.ravel(), [1.0, 0.5, 0.25])
 
+    @pytest.mark.parametrize("u", [-1.0, math.nan, math.inf])
+    def test_input_must_be_nonnegative_and_finite(self, u):
+        # a negative u would enlarge the certified step by e^-u, a NaN one
+        # would surface only as a non-finite state, and an infinite one
+        # would realize steps of 0 until max_steps
+        with pytest.raises(ConfigurationError, match=r"u=.* at tau=0\.0"):
+            advance(EULER, scalar_decay(), ConstantController(0.5),
+                    np.array([1.0]), t_end=1.0, u_input=lambda t: u,
+                    max_steps=5)
+
+    def test_nan_t_end_is_refused(self):
+        # not tau < nan holds at once, which would end the run with 0 steps
+        with pytest.raises(ConfigurationError, match="t_end"):
+            advance(EULER, scalar_decay(), ConstantController(0.5),
+                    np.array([1.0]), t_end=math.nan)
+
     def test_clock_identity_holds(self):
         f = linear_field(M1)
         rng = np.random.default_rng(11)

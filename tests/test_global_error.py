@@ -91,7 +91,7 @@ class TestFiniteTimeBound:
 class TestAsymptoticBound:
     def test_interpolation_value(self):
         # lam*sigma = L makes the exponent 1/2: sqrt(D * 2 a(|x0|))
-        budget = ErrorBudget(epsilon=0.1, sigma=1.0, lam=1.0,
+        budget = ErrorBudget(epsilon=0.1, sigma=2.0, lam=0.5,
                              a_gain=lambda s: s, l_of_x0=1.0, k_of_x0=0.5,
                              p=1, x0_norm=1.0)
         assert error_bound(budget, 1e-4) \
@@ -334,6 +334,27 @@ class TestBudgetValidation:
             ErrorBudget(epsilon=0.1, sigma=1.0, lam=0.5,
                         a_gain=lambda s: s + 1.0, l_of_x0=1.0,
                         k_of_x0=0.5, p=1, x0_norm=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("lam", 2.0), ("lam", 1.0), ("lam", 0.0), ("lam", math.nan),
+        ("sigma", math.inf), ("sigma", math.nan), ("l_of_x0", math.inf),
+        ("k_of_x0", math.inf), ("x0_norm", math.inf), ("epsilon", math.nan),
+        ("p", math.nan)])
+    def test_constant_out_of_range_is_refused(self, name, value):
+        # lam = 2 with sigma = inf used to pass, with a NaN exponent
+        args = dict(epsilon=0.1, sigma=1.0, lam=0.5, a_gain=lambda s: s,
+                    l_of_x0=1.0, k_of_x0=0.5, p=1, x0_norm=1.0)
+        args[name] = value
+        with pytest.raises(ConfigurationError, match=rf"^{name} must"):
+            ErrorBudget(**args)
+
+    @pytest.mark.parametrize("bound", [
+        lambda budget, d: error_bound(budget, d),
+        lambda budget, d: error_bound_finite_time(budget, d, 1.0)],
+        ids=["error_bound", "error_bound_finite_time"])
+    def test_nan_defect_supremum_is_refused(self, bound):
+        with pytest.raises(ConfigurationError, match="defect supremum"):
+            bound(unit_budget(), math.nan)
 
     def test_q_property(self):
         budget = ErrorBudget(epsilon=0.1, sigma=2.0, lam=0.5,

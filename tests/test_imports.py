@@ -82,10 +82,7 @@ def test_public_names_resolve_and_none_is_a_module():
 
 # Public names that no run, criterion or benchmark calls, kept on purpose.
 UNCALLED_PUBLIC_NAMES = {
-    "check_midpoint_convexity": "certificate check: V's convex flag",
-    "convex_decrease_check": "certificate check: implicit Euler decrease",
     "euler_f2_limit_radius": "closed-form oracle: Euler's cycle on f2",
-    "gradient_system_field": "the nonlinear field of the implicit tests",
 }
 
 

@@ -27,7 +27,7 @@ from stabstep.core import (
     linear_field,
     rk_increment,
 )
-from stabstep.implicit import convex_decrease_check, gradient_system_field
+from stabstep.implicit import implicit_euler_step
 from stabstep.lyapunov import (
     DecreaseCertificate,
     EulerQController,
@@ -38,8 +38,8 @@ from stabstep.lyapunov import (
     decrease_test,
     euler_q_phi,
     halving_controller,
-    k1_phi,
     linear_phi,
+    within_slack,
     quadratic_lyapunov,
 )
 
@@ -196,38 +196,19 @@ class TestCurvatureBounds:
         phi = euler_q_phi(lyap, f, np.array([3.0]), 0.5, 10.0)
         assert phi == pytest.approx(1.0)
 
-    def test_k1_value(self):
-        # f = -x, V = x^2 at x = 2: grad V . f = -8 and K_1 = f H_V f / 2
-        # = 4, so the step is (1 - lam) 8 / 4 = 1 at lam = 1/2.
-        f = linear_field(np.array([[-1.0]]))
-        lyap = quadratic_lyapunov(np.eye(1))
-        assert k1_phi(lyap, f, np.array([2.0]), 0.5, 10.0) \
-            == pytest.approx(1.0)
-
     @pytest.mark.parametrize("lyap", [
         pytest.param(QUARTIC, id="quartic"),
         pytest.param(replace(quadratic_lyapunov(np.eye(2)), hess=None),
                      id="no-hess")])
     def test_hessian_not_declared_constant_is_refused(self, lyap):
-        # the laws read H_V once, at x, as its bound over the whole step;
+        # the law reads H_V once, at x, as its bound over the whole step;
         # for a Hessian that varies along the ray that is no bound
-        field = gradient_system_field(QUARTIC, 2)
+        field = spiral()
         x = np.array([1.0, -0.5])
-        for law in (euler_q_phi, k1_phi):
-            with pytest.raises(ConfigurationError, match="hess_constant"):
-                law(lyap, field, x, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match="hess_constant"):
+            euler_q_phi(lyap, field, x, 0.5, 1.0)
         with pytest.raises(ConfigurationError, match="hess_constant"):
             EulerQController(lyap, field, lam=0.5, r=1.0)(x, 0.0)
-
-    def test_k1_phi_matches_q_phi(self):
-        f = spiral()
-        lyap = vsq()
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            x = rng.normal(size=2) * rng.uniform(0.1, 10.0)
-            a = euler_q_phi(lyap, f, x, 0.5, 1e9)
-            b = k1_phi(lyap, f, x, 0.5, 1e9)
-            assert a == b
 
     def test_positive_lie_derivative_rejected(self):
         grow = linear_field(np.array([[1.0]]))
@@ -242,7 +223,7 @@ class TestCurvatureBounds:
     @pytest.mark.parametrize("law, r", [
         pytest.param(law, r, id=str(r) if law == "euler_q_phi"
                      else f"{law}-{r}")
-        for law in ("euler_q_phi", "k1_phi", "linear_phi")
+        for law in ("euler_q_phi", "linear_phi")
         for r in (math.nan, math.inf, 0.0, -1.0)])
     def test_cap_must_be_positive_and_finite(self, law, r):
         # min(h, nan) is h: a NaN cap would silently mean no cap at all
@@ -251,8 +232,7 @@ class TestCurvatureBounds:
             if law == "linear_phi":
                 linear_phi(M1, np.eye(2), x, 0.5, r)
             else:
-                {"euler_q_phi": euler_q_phi, "k1_phi": k1_phi}[law](
-                    vsq(), spiral(), x, 0.5, r)
+                euler_q_phi(vsq(), spiral(), x, 0.5, r)
 
 
 class TestLinearPhi:
@@ -393,20 +373,22 @@ class TestStepReuse:
         assert calls[0] == 2 * traj.steps.size
         self.assert_steps_are(traj, EULER, f)
 
-    def test_other_tableau_is_recomputed(self):
-        f, calls = counting_field(self.A)
-        ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
-        traj = advance(HEUN, f, ctrl, self.X0, t_end=3.0)
-        assert calls[0] == 3 * traj.steps.size
-        self.assert_steps_are(traj, HEUN, f)
+    def test_other_tableau_is_refused(self):
+        # RK4 certificates next to Euler steps: none of them would match
+        # its recorded state, and the audit would reject the first row
+        f2 = PLANAR["f2"]
+        ctrl = HalvingController(f2.lyap, RK4, f2.field, lam=0.5, h_init=4.0)
+        with pytest.raises(ConfigurationError,
+                           match="tau=0.0 .* another tableau or field"):
+            advance(EULER, f2.field, ctrl, np.array([0.9, 0.3]), t_end=50.0)
 
-    def test_other_field_object_is_recomputed(self):
-        f, calls = counting_field(self.A)
+    def test_other_field_object_is_refused(self):
+        f, _ = counting_field(self.A)
         twin = VectorField(dim=f.dim, f=f.f)
         ctrl = HalvingController(vsq(), EULER, twin, lam=0.5, h_init=1.0)
-        traj = advance(EULER, f, ctrl, self.X0, t_end=3.0)
-        assert calls[0] == 2 * traj.steps.size
-        self.assert_steps_are(traj, EULER, f)
+        with pytest.raises(ConfigurationError,
+                           match="tau=0.0 .* another tableau or field"):
+            advance(EULER, f, ctrl, self.X0, t_end=3.0)
 
 
 @st.composite
@@ -618,20 +600,20 @@ class TestConvexDecrease:
     @given(hurwitz_problems(), st.floats(-3.0, 3.0))
     def test_every_h(self, problem, log_h):
         a, p, x0 = problem
-        assert convex_decrease_check(quadratic_lyapunov(p), linear_field(a),
-                                     x0, 10.0 ** log_h)
+        lyap = quadratic_lyapunov(p)
+        y = implicit_euler_step(linear_field(a), x0, 10.0 ** log_h)
+        assert within_slack(lyap(y), lyap(x0))
 
 
 class TestEulerLawAgreement:
-    """On x' = Ax with V = x'Px the closed-form and both curvature step
+    """On x' = Ax with V = x'Px the closed-form and the curvature step
     laws are the same number, up to roundoff."""
 
     @settings(max_examples=50, deadline=None)
     @given(hurwitz_problems(), st.floats(0.05, 0.95))
-    def test_three_laws(self, problem, lam):
+    def test_two_laws(self, problem, lam):
         a, p, x = problem
         field, lyap = linear_field(a), quadratic_lyapunov(p)
         laws = (linear_phi(a, p, x, lam, 1e9),
-                euler_q_phi(lyap, field, x, lam, 1e9),
-                k1_phi(lyap, field, x, lam, 1e9))
+                euler_q_phi(lyap, field, x, lam, 1e9))
         assert max(laws) - min(laws) <= 1e-12 * max(laws)

@@ -21,7 +21,6 @@ from stabstep.core import (
     linear_field,
     rk_increment,
 )
-from stabstep.implicit import gradient_system_field
 from stabstep.lyapunov import LyapunovFunction
 
 Array = np.ndarray
@@ -107,7 +106,8 @@ def stage_problems(draw):
         shift = float(np.max(np.linalg.eigvals(m).real)) + rng.uniform(0.25, 1.5)
         field = linear_field(m - shift * np.eye(dim))
     elif kind == "gradient":
-        field = gradient_system_field(QUARTIC, dim)
+        field = VectorField(dim=dim, f=lambda x: -QUARTIC.gradient(x),
+                            jacobian=lambda x: -QUARTIC.hess(x))
     else:
         field = PLANAR[kind].field
     if not draw(st.booleans()):
