@@ -161,7 +161,7 @@ def _check_limit_cycle(tol, rng):
     traj = advance(IMPLICIT_EULER, systems["f2"].field,
                    ConstantController(0.2), x0, math.inf,
                    max_steps=tol.implicit_steps, stop=below)
-    hit = traj.steps.size if below(traj.final_state) else None
+    hit = traj.steps.size if traj.stop_reason == "stop" else None
     ok_impl = hit is not None
     notes.append(f"f2 implicit |x| < {tol.implicit_target} at step {hit}"
                  if ok_impl else

@@ -365,7 +365,8 @@ def nlp_solve(
 
     The step law is a lyapunov.HalvingController from that h, which
     core.advance calls, so the iterates come back as a HybridTrajectory in
-    clock time with one decrease certificate per step, and V is evaluated
+    clock time with each step's decrease test in its certificate columns
+    (none when w0 has already converged), and V is evaluated
     once per node.  A rejected step (possible only through rounding
     or an understated hess_norm) falls back to halving and clears
     `certified`.  The run stops when |field(w)| < tol; a non-finite iterate
@@ -390,14 +391,15 @@ def nlp_solve(
                                    h_init=h)
     traj = advance(EULER, flow.field, controller, w0, math.inf,
                    max_steps=_NLP_MAX_ITER, stop=converged)
-    if not residual < tol:
-        last = traj.certificates[-1] if traj.certificates else None
+    if traj.stop_reason != "stop":
         raise ControllerError(
             f"no convergence in {_NLP_MAX_ITER} iterations; last residual "
-            f"{residual:.3e}, last certificate {last}"
+            f"{residual:.3e}, last step lhs={float(traj.lhs[-1])!r} "
+            f"rhs={float(traj.rhs[-1])!r} halvings={int(traj.halvings[-1])}"
         )
-    certified = all(c.halvings == 0 for c in traj.certificates)
+    stepped = traj.halvings is not None  # else w0 had converged
     return NlpResult(w=traj.final_state, iterations=traj.steps.size,
-                     residual=residual, certified=certified,
-                     v_history=(v0,) + tuple(c.lhs for c in traj.certificates),
+                     residual=residual,
+                     certified=not (stepped and traj.halvings.any()),
+                     v_history=(v0, *(traj.lhs.tolist() if stepped else ())),
                      trajectory=traj)

@@ -264,7 +264,7 @@ def _run_halving_f1(params, out, rng):
                    t_end=float(params["t_end"]))
     report = certify_trajectory(system.lyap, traj, lam, field=system.field)
     _write_standard(traj, out, "halving-f1", report)
-    halvings = sum(c.halvings for c in traj.certificates)
+    halvings = 0 if traj.halvings is None else int(traj.halvings.sum())
     return (f"steps={traj.steps.size} certified={report.ok} "
             f"total_halvings={halvings} "
             f"final_norm={float(np.linalg.norm(traj.final_state)):.3e}")

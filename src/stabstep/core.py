@@ -74,6 +74,8 @@ def linear_field(a: Array) -> VectorField:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError("linear field needs a square matrix")
+    if not np.isfinite(a).all():
+        raise ConfigurationError("linear field matrix a must be finite")
     return VectorField(
         dim=a.shape[0],
         f=lambda x: a @ x,
@@ -279,19 +281,34 @@ def _check_rebuilt_state(
 # trajectories
 
 
+_CERT_COLUMNS = ("h", "lhs", "rhs", "halvings")
+
+
 @dataclass(frozen=True)
 class HybridTrajectory:
     """Node sequence of a run: times, states, and steps taken.
 
-    tau has shape (N,), states (N, dim), steps (N-1,) with
+    tau has shape (N,), finite, states (N, dim), steps (N-1,) with
     tau[i+1] == tau[i] + steps[i] exactly (the times are built by the same
-    additions).  certificates, when present, holds one per-step record.
+    additions).
+
+    A run whose steps were certified carries four more columns of shape
+    (N-1,), copied from each step's decrease certificate: h, the step the
+    test accepted (the base step, before an input shrinks it), lhs and rhs,
+    the two sides of that test, and halvings.  A run without certificates
+    has None in all four.  stop_reason tells how `advance` ended the run:
+    "t_end", "stop" (the stop rule, or the norm floor without one) or
+    "max_steps"; it is None on a trajectory built otherwise.
     """
 
     tau: Array
     states: Array
     steps: Array
-    certificates: tuple = ()
+    h: Optional[Array] = None
+    lhs: Optional[Array] = None
+    rhs: Optional[Array] = None
+    halvings: Optional[Array] = None
+    stop_reason: Optional[str] = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -303,11 +320,27 @@ class HybridTrajectory:
             raise ConfigurationError("steps must be positive")
         if not np.array_equal(tau[1:], tau[:-1] + steps):
             raise ConfigurationError("node times must accumulate the steps exactly")
-        if self.certificates and len(self.certificates) != steps.size:
-            raise ConfigurationError("one certificate per step expected")
+        # nondecreasing from here on, so finite ends make every time finite
+        if not (math.isfinite(tau[0]) and math.isfinite(tau[-1])):
+            raise ConfigurationError("node times tau must be finite")
+        if self.stop_reason not in (None, "t_end", "stop", "max_steps"):
+            raise ConfigurationError(f"unknown stop_reason {self.stop_reason!r}")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "steps", steps)
+        present = [getattr(self, name) is not None for name in _CERT_COLUMNS]
+        if not any(present):
+            return
+        if not all(present):
+            raise ConfigurationError(
+                "certificate columns h, lhs, rhs and halvings come together")
+        for name in _CERT_COLUMNS:
+            col = np.asarray(getattr(self, name),
+                             dtype=int if name == "halvings" else float)
+            if col.shape != steps.shape:
+                raise ConfigurationError(
+                    f"certificate column {name} needs one entry per step")
+            object.__setattr__(self, name, col)
 
     @property
     def dim(self) -> int:
@@ -416,6 +449,13 @@ def advance(
     for instance when u_input shrinks the step, the scheme steps here.
     Both paths compute x + h * F(h, x) from the same operands, so the
     states are bit-identical.
+
+    Each certificate's h, lhs, rhs and halvings are copied into the
+    trajectory's columns, and the certificate itself is not kept.  Either
+    every step comes with a certificate or none does: a run that mixes the
+    two raises ConfigurationError at the first step that breaks the
+    pattern.  The trajectory's stop_reason records which of the three
+    checks above ended the run.
     """
     if math.isnan(t_end):
         raise ConfigurationError("t_end must not be NaN")
@@ -424,21 +464,32 @@ def advance(
     taus = [tau]
     states = [x.copy()]
     steps: list[float] = []
-    certs: list = []
+    certified: list[tuple] = []  # (h, lhs, rhs, halvings) per step
 
     while True:
         nx = math.sqrt(x.dot(x))  # numpy's 1-D norm; inf on overflow
         if not math.isfinite(nx) and not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state at tau={tau}")
-        if not tau < t_end or (nx < _NORM_FLOOR if stop is None else stop(x)):
+        if not tau < t_end:
+            stop_reason = "t_end"
+            break
+        if nx < _NORM_FLOOR if stop is None else stop(x):
+            stop_reason = "stop"
             break
         if max_steps is not None and len(steps) >= max_steps:
+            stop_reason = "max_steps"
             break
         out = controller(x, tau)
         h_base, cert = out if isinstance(out, tuple) else (out, None)
         h_base = float(h_base)
         if not h_base > 0 or not math.isfinite(h_base):
             raise ControllerError(f"controller proposed step {h_base} at tau={tau}")
+        if steps and (cert is None) == bool(certified):
+            raise ConfigurationError(
+                f"step at tau={tau} {'lacks' if cert is None else 'has'} a "
+                f"certificate, unlike the steps before it")
+        if cert is not None:
+            certified.append((cert.h, cert.lhs, cert.rhs, cert.halvings))
         h = h_base
         if u_input is not None:
             u = float(u_input(tau))
@@ -460,14 +511,10 @@ def advance(
         taus.append(tau)
         states.append(x.copy())
         steps.append(h)
-        certs.append(cert)
 
-    return HybridTrajectory(
-        tau=np.array(taus),
-        states=np.array(states),
-        steps=np.array(steps),
-        certificates=tuple(certs) if any(c is not None for c in certs) else (),
-    )
+    columns = map(np.array, zip(*certified)) if certified else [None] * 4
+    return HybridTrajectory(np.array(taus), np.array(states), np.array(steps),
+                            *columns, stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -108,18 +108,25 @@ def error_budget_step(budget: ErrorBudget, tau_i: float, phi_at_x: float) -> flo
     """Step rule keeping |e(tau_i)| <= epsilon, capped by phi.
 
     min( (2L/K)^{1/p} e^{(sigma/p) tau} (2 a(|x0|)/eps)^{-(q+lam)/(p lam)},
-         phi ); monotone increasing in tau.
+         phi ); monotone increasing in tau.  A rule too large for a float
+    exceeds every finite cap, so phi is returned, as for eps = inf.  A NaN
+    tau_i is refused.
     """
     if phi_at_x <= 0:
         raise ConfigurationError("phi cap must be positive")
+    if math.isnan(tau_i):
+        raise ConfigurationError("tau_i must not be NaN")
     big_l, big_k, p = budget.l_of_x0, budget.k_of_x0, budget.p
     ratio = 2.0 * float(budget.a_gain(budget.x0_norm)) / budget.epsilon
     if ratio <= 0.0:
         return phi_at_x
     expo = -(budget.q + budget.lam) / (p * budget.lam)
-    rule = ((2.0 * big_l / big_k) ** (1.0 / p)
-            * math.exp(budget.sigma * tau_i / p)
-            * ratio ** expo)
+    try:
+        rule = ((2.0 * big_l / big_k) ** (1.0 / p)
+                * math.exp(budget.sigma * tau_i / p)
+                * ratio ** expo)
+    except OverflowError:
+        return phi_at_x
     return min(rule, phi_at_x)
 
 

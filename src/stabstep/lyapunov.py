@@ -83,6 +83,8 @@ def quadratic_lyapunov(p: Array) -> LyapunovFunction:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ConfigurationError("P must be a square matrix")
+    if not np.isfinite(p).all():
+        raise ConfigurationError("P must be finite")
     if not np.allclose(p, p.T, atol=1e-12):
         raise ConfigurationError("P must be symmetric")
     convex = bool(np.all(np.linalg.eigvalsh(p) >= -1e-12))
@@ -289,13 +291,12 @@ def certify_trajectory(
 
     Each threshold is V(x) + lam * h * grad V(x) . f(x), the one
     decrease_test compares against, with lam in (0, 1).  Halving counts are
-    copied from the trajectory's certificates when present.
+    copied from the trajectory's halvings column, and are 0 without one.
     """
     check_lam(lam)
     states = traj.states
-    halvings = ([c.halvings if isinstance(c, DecreaseCertificate) else 0
-                 for c in traj.certificates]
-                or [0] * traj.steps.size)
+    halvings = (traj.halvings.tolist() if traj.halvings is not None
+                else [0] * traj.steps.size)
     rows = []
     first_violation = None
     v_next = lyap(states[0])  # each row's V(x_{i+1}) is the next V(x_i)

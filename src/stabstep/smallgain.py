@@ -114,7 +114,7 @@ def chain_decay_trials(
         except FloatingPointError:
             fails += 1
             continue
-        if below(run.final_state):
+        if run.stop_reason == "stop":
             worst = max(worst, run.steps.size)
         else:
             fails += 1
@@ -131,7 +131,7 @@ def sigma_constant(r: float, big_l: float) -> float:
     Equals ln(1+rL)/(rL); evaluated by a short series when rL is tiny to
     dodge cancellation in log1p(s)/s.
     """
-    if r <= 0 or big_l <= 0:
+    if not (r > 0 and big_l > 0):
         raise ConfigurationError("r and L must be positive")
     s = r * big_l
     if s < 1e-8:
@@ -254,8 +254,10 @@ def advection_chain(
     the stale upstream value.  Requires the strict gap K * dz < c, which
     keeps every damping a_i(y) = c/dz - b(y) >= c/dz - K = L > 0.
     """
-    if n < 1 or c <= 0:
-        raise ConfigurationError("need n >= 1 and c > 0")
+    if n < 1:
+        raise ConfigurationError("need n >= 1")
+    if not 0 < c < math.inf:
+        raise ConfigurationError("transport speed c must be positive and finite")
     dz = 1.0 / n
     if big_k * dz >= c:
         raise ConfigurationError(

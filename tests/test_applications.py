@@ -281,13 +281,12 @@ class TestNlpFlow:
                          (random_qp, np.zeros(4))):
             res = nlp_solve(flow, w0, lam=0.5, tol=1e-7)
             traj = res.trajectory
-            assert len(traj.certificates) == traj.steps.size == res.iterations
+            assert traj.lhs.size == traj.steps.size == res.iterations
             report = certify_trajectory(flow.lyap, traj, 0.5, field=flow.field)
             assert report.ok
             assert all(row[4] for row in report.rows)
             np.testing.assert_array_equal(traj.final_state, res.w)
-            assert res.v_history[1:] == tuple(
-                c.lhs for c in traj.certificates)
+            assert res.v_history[1:] == tuple(traj.lhs.tolist())
 
     def test_a_rejected_law_step_is_tested_once(self, monkeypatch):
         # an understated Hessian bound makes the law's step too long; each
@@ -303,7 +302,7 @@ class TestNlpFlow:
         monkeypatch.setattr(applications, "decrease_test", counting)
         monkeypatch.setattr(lyapunov, "decrease_test", counting)
         res = nlp_solve(flow, np.zeros(3), lam=0.5, tol=1e-7)
-        halvings = [c.halvings for c in res.trajectory.certificates]
+        halvings = res.trajectory.halvings.tolist()
         assert not res.certified and max(halvings) > 0
         assert len(tested) == sum(k + 1 for k in halvings)
 
@@ -324,7 +323,7 @@ class TestNlpFlow:
         flow = replace(flow, hess_norm=flow.hess_norm * scale,
                        lyap=replace(flow.lyap, v=v))
         res = nlp_solve(flow, np.zeros(3), lam=0.5, tol=1e-7)
-        halvings = sum(c.halvings for c in res.trajectory.certificates)
+        halvings = int(res.trajectory.halvings.sum())
         assert len(calls) <= res.iterations + halvings + 2
 
     def test_nan_start_raises(self):
@@ -341,7 +340,8 @@ class TestNlpFlow:
 
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(applications, "_NLP_MAX_ITER", 3)
-        with pytest.raises(ControllerError, match="no convergence in 3"):
+        with pytest.raises(ControllerError, match=r"no convergence in 3 .*"
+                           r"last step lhs=\S+ rhs=\S+ halvings=\d+$"):
             nlp_solve(self.pinned(), np.zeros(3), tol=1e-7)
 
     def test_split_separates_primal_and_dual(self):

@@ -66,6 +66,11 @@ class TestTableaus:
         with pytest.raises(ConfigurationError):
             ButcherTableau("bad", np.zeros((2, 2)), np.array([1.0]), 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_linear_field_needs_a_finite_matrix(self, bad):
+        with pytest.raises(ConfigurationError, match="matrix a must be finite"):
+            linear_field([[bad]])
+
     @pytest.mark.parametrize("a, b", [
         ([[0.5]], [1.0]),  # implicit midpoint
         ([[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5]),  # trapezoid
@@ -346,6 +351,32 @@ class TestAdvance:
         traj = advance(EULER, f, ConstantController(0.1), np.array([1.0]),
                        t_end=math.inf, max_steps=7)
         assert traj.steps.size == 7
+        assert traj.stop_reason == "max_steps"
+
+    @pytest.mark.parametrize("stop, t_end, reason", [
+        (None, 1.0, "t_end"),
+        (None, math.inf, "stop"),  # the norm floor, after 47 halvings
+        (lambda x: x[0] < 0.1, math.inf, "stop"),
+        (lambda x: False, math.inf, "max_steps"),
+    ])
+    def test_stop_reason(self, stop, t_end, reason):
+        traj = advance(EULER, scalar_decay(), ConstantController(0.5),
+                       np.array([1.0]), t_end, max_steps=100, stop=stop)
+        assert traj.stop_reason == reason
+
+    def test_the_stop_rule_is_asked_before_max_steps(self):
+        # Euler with h = 1/2 halves x; after 3 steps both checks would end
+        # the run, and the stop rule, asked first, names the reason
+        traj = advance(EULER, scalar_decay(), ConstantController(0.5),
+                       np.array([1.0]), math.inf, max_steps=3,
+                       stop=lambda x: x[0] <= 0.125)
+        assert traj.steps.size == 3 and traj.stop_reason == "stop"
+
+    def test_a_run_without_certificates_has_no_columns(self):
+        traj = advance(EULER, scalar_decay(), ConstantController(0.5),
+                       np.array([1.0]), t_end=2.0)
+        assert traj.steps.size == 4
+        assert (traj.h, traj.lhs, traj.rhs, traj.halvings) == (None,) * 4
 
     def test_overflow_raises(self):
         # x' = 1e3 x^2 from x0 = 1 overflows within a few unit Euler steps
@@ -386,6 +417,31 @@ class TestTrajectory:
             HybridTrajectory(tau=np.array([0.0, 0.4]),
                              states=np.zeros((2, 1)),
                              steps=np.array([0.5]))
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t0):
+        with pytest.raises(ConfigurationError, match="tau must be finite"):
+            HybridTrajectory(tau=[t0], states=[[1.0]], steps=[])
+
+    def test_built_trajectories_have_no_stop_reason(self):
+        assert self.make().stop_reason is None
+        with pytest.raises(ConfigurationError, match="stop_reason"):
+            HybridTrajectory(tau=[0.0], states=[[1.0]], steps=[],
+                             stop_reason="converged")
+
+    def test_certificate_columns_come_together_per_step(self):
+        tau, states, steps = [0.0, 0.5], [[1.0], [0.5]], [0.5]
+        traj = HybridTrajectory(tau, states, steps, h=[1.0], lhs=[0.25],
+                                rhs=[0.5], halvings=[1])
+        assert traj.halvings.dtype.kind == "i" and traj.h.dtype == float
+        with pytest.raises(ConfigurationError, match="columns .* come "
+                                                     "together"):
+            HybridTrajectory(tau, states, steps, h=[1.0], lhs=[0.25],
+                             rhs=[0.5])
+        with pytest.raises(ConfigurationError, match="column lhs needs one "
+                                                     "entry per step"):
+            HybridTrajectory(tau, states, steps, h=[1.0], lhs=[0.25, 0.1],
+                             rhs=[0.5], halvings=[1])
 
     def test_csv_round_trip(self, tmp_path):
         base = self.make()

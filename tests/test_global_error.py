@@ -130,6 +130,19 @@ class TestBudgetStepRule:
         budget = unit_budget(epsilon=math.inf)
         assert error_budget_step(budget, 0.0, phi_at_x=0.7) == 0.7
 
+    @pytest.mark.parametrize("epsilon, tau", [
+        pytest.param(1e120, 0.0, id="power"),
+        pytest.param(0.1, 1e6, id="exp")])
+    def test_an_overflowing_rule_defers_to_phi(self, epsilon, tau):
+        # (2/eps)^-3 at eps = 1e120 and e^tau at tau = 1e6 both exceed
+        # every float; either used to raise OverflowError
+        budget = unit_budget(epsilon=epsilon)
+        assert error_budget_step(budget, tau, phi_at_x=0.7) == 0.7
+
+    def test_nan_time_is_refused(self):
+        with pytest.raises(ConfigurationError, match="tau_i"):
+            error_budget_step(unit_budget(), math.nan, phi_at_x=0.7)
+
     def test_general_rule_matches_euler_instance(self):
         # first order with K = L^2/2 collapses the generic constant to 4/L
         big_l, sigma, lam, eps, a0 = 0.8, 1.3, 0.4, 0.05, 2.0 * 1.5

@@ -1,5 +1,6 @@
 """Decrease tests, step-bound formulas, and trajectory certification."""
 
+import gc
 import math
 from collections import Counter
 from dataclasses import replace
@@ -77,6 +78,12 @@ class TestQuadraticLyapunov:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ConfigurationError):
             quadratic_lyapunov(np.array([[1.0, 0.3], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_is_named(self, bad):
+        # a NaN entry used to be reported as an asymmetric P
+        with pytest.raises(ConfigurationError, match="P must be finite"):
+            quadratic_lyapunov(np.array([[bad]]))
 
 
 class TestDecreaseTest:
@@ -318,8 +325,8 @@ class TestControllers:
         f = spiral()
         ctrl = EulerQController(vsq(), f, lam=0.5, r=1.0)
         traj = advance(EULER, f, ctrl, np.array([1.0, 0.0]), t_end=4.0)
-        assert traj.certificates
-        assert all(c.accepted for c in traj.certificates)
+        assert traj.steps.size and traj.lhs.size == traj.steps.size
+        assert all(map(within_slack, traj.lhs, traj.rhs))
 
     def test_linear_quadratic_controller_matches_formula(self):
         ctrl = LinearQuadraticController(STIFF, np.eye(2) / 2,
@@ -348,7 +355,7 @@ class TestStepReuse:
 
     @staticmethod
     def decrease_tests(traj):
-        return sum(c.halvings + 1 for c in traj.certificates)
+        return int(traj.halvings.sum()) + traj.steps.size
 
     def assert_steps_are(self, traj, tableau, field):
         for i in range(traj.steps.size):
@@ -480,12 +487,13 @@ class TestStateTermsHandOff:
         runs.append((None, EulerQController(counted_lyap, counted_field,
                                             lam, h_init)))
         for tab, ctrl in runs:
-            costs = []
+            costs, certs = [], []
 
             def costed(x, tau):
                 before = work.copy()
                 out = ctrl(x, tau)
                 costs.append(work - before)
+                certs.append(out[1])
                 return out
 
             with mock.patch.object(lyapunov, "DecreaseCertificate",
@@ -496,7 +504,7 @@ class TestStateTermsHandOff:
                 traj = advance(tab or EULER, counted_field, costed, x0,
                                t_end=5.0, max_steps=20)
             for i, (x, cert, cost) in enumerate(zip(
-                    traj.states, traj.certificates, costs)):
+                    traj.states, certs, costs)):
                 first = int(i == 0)
                 assert cost["certificates"] == cost["tests"]
                 assert cost["V"] == first + cost["stage solved"]
@@ -540,7 +548,8 @@ class TestStateTermsHandOff:
 
 
 class TestCertificateMatchesAudit:
-    """Each step's certificate agrees exactly with the re-audit's row."""
+    """Each step's certificate columns agree exactly with the re-audit's
+    row."""
 
     @staticmethod
     def controllers(lyap, field):
@@ -556,13 +565,85 @@ class TestCertificateMatchesAudit:
         for tab, ctrl in self.controllers(lyap, field):
             traj = advance(tab, field, ctrl, x0, t_end=5.0, max_steps=5000)
             report = certify_trajectory(lyap, traj, 0.5, field=field)
-            assert len(traj.certificates) == len(report.rows)
-            for i, (cert, row) in enumerate(zip(traj.certificates,
-                                                report.rows)):
-                _, _, _, threshold, accepted, _ = row
-                assert cert.rhs == threshold
-                assert cert.lhs == lyap(traj.states[i + 1])
-                assert cert.accepted == accepted
+            assert traj.lhs.size == len(report.rows)
+            for i, row in enumerate(report.rows):
+                _, _, _, threshold, accepted, halvings = row
+                assert traj.rhs[i] == threshold
+                assert traj.lhs[i] == lyap(traj.states[i + 1])
+                assert traj.halvings[i] == halvings
+                assert within_slack(traj.lhs[i], traj.rhs[i]) == accepted
+
+
+class TestCertificateColumns:
+    """advance copies h, lhs, rhs and halvings from each step's
+    certificate, bit for bit, and keeps no certificate."""
+
+    @staticmethod
+    def capturing(ctrl, certs):
+        """ctrl, appending every certificate it returns to certs."""
+        def wrapped(x, tau):
+            out = ctrl(x, tau)
+            certs.append(out[1])
+            return out
+        return wrapped
+
+    @settings(max_examples=20, deadline=None)
+    @given(hurwitz_problems())
+    def test_columns_are_the_certificates(self, problem):
+        a, p, x0 = problem
+        field, lyap = linear_field(a), quadratic_lyapunov(p)
+        runs = [(tab, HalvingController(lyap, tab, field, 0.6, 0.9))
+                for tab in (EULER, HEUN, RK4, IMPLICIT_EULER)]
+        runs.append((EULER, EulerQController(lyap, field, 0.6, 0.9)))
+        for tab, ctrl in runs:
+            certs = []
+            traj = advance(tab, field, self.capturing(ctrl, certs), x0,
+                           t_end=5.0, max_steps=2000)
+            assert len(certs) == traj.steps.size > 0
+            for name in ("h", "lhs", "rhs"):
+                assert [v.hex() for v in getattr(traj, name).tolist()] \
+                    == [getattr(c, name).hex() for c in certs]
+            assert traj.halvings.tolist() == [c.halvings for c in certs]
+            # the audit's rows: those of the bare trajectory, with the
+            # certificates' halving counts
+            report = certify_trajectory(lyap, traj, 0.6, field=field)
+            bare = certify_trajectory(
+                lyap, HybridTrajectory(traj.tau, traj.states, traj.steps),
+                0.6, field=field)
+            assert report.rows == tuple(row[:5] + (c.halvings,)
+                                        for row, c in zip(bare.rows, certs))
+
+    def test_no_certificate_is_reachable(self):
+        f = spiral()
+        ctrl = HalvingController(vsq(), RK4, f, lam=0.5, h_init=1.0)
+        traj = advance(RK4, f, ctrl, np.array([1.0, 0.5]), t_end=3.0)
+        assert traj.steps.size and isinstance(ctrl._last, DecreaseCertificate)
+        # classes and modules lead to every live object, so stop at them
+        seen, todo = set(), [traj]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, type(gc))):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, DecreaseCertificate)
+            todo.extend(gc.get_referents(obj))
+        assert len(seen) > 5
+
+    @pytest.mark.parametrize("certified_first", [True, False])
+    def test_a_mixed_run_is_refused(self, certified_first):
+        f = spiral()
+        ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
+        taus = []
+
+        def mixed(x, tau):
+            taus.append(tau)
+            h, cert = ctrl(x, tau)
+            return (h, cert) if (len(taus) == 1) == certified_first else h
+
+        with pytest.raises(ConfigurationError) as err:
+            advance(EULER, f, mixed, np.array([1.0, 0.5]), t_end=3.0)
+        assert len(taus) == 2
+        assert f"at tau={taus[1]} " in str(err.value)
 
 
 class TestExactClock:
@@ -586,7 +667,8 @@ class TestExactClock:
             traj = advance(tab, field, ctrl, x0, t_end=3.0, u_input=u,
                            max_steps=200)
             assert np.array_equal(traj.tau[1:], traj.tau[:-1] + traj.steps)
-            bases = [c.h for c in traj.certificates] or [h] * traj.steps.size
+            bases = ([h] * traj.steps.size if traj.h is None
+                     else traj.h.tolist())
             assert traj.steps.tolist() == [
                 base * math.exp(-u(tau))
                 for base, tau in zip(bases, traj.tau.tolist())]

@@ -214,6 +214,13 @@ class TestSigmaConstant:
         vals = [sigma_constant(r, 2.0) for r in (0.1, 1.0, 5.0)]
         assert vals[0] > vals[1] > vals[2]
 
+    @pytest.mark.parametrize("r, big_l", [(math.nan, 1.0), (1.0, math.nan),
+                                          (0.0, 1.0), (1.0, -2.0)])
+    def test_refuses_what_is_not_positive(self, r, big_l):
+        # a NaN passes an `r <= 0` test and used to come back as sigma = NaN
+        with pytest.raises(ConfigurationError, match="r and L"):
+            sigma_constant(r, big_l)
+
 
 class TestIssEstimate:
     def test_pure_decay_holds_with_margin(self):
@@ -435,6 +442,12 @@ class TestAdvectionChain:
         # K dz >= c destroys the small-gain margin
         with pytest.raises(ConfigurationError):
             advection_chain(4, 1.0, lambda y: 4.0, 4.0)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0])
+    def test_speed_must_be_positive_and_finite(self, c):
+        # c = inf used to build a chain with l_bounds = inf
+        with pytest.raises(ConfigurationError, match="speed c"):
+            advection_chain(5, c, lambda y: 0.0, 0.0)
 
     def test_inflow_boundary_is_zero(self):
         chain = advection_chain(3, 3.0, lambda y: 0.0, 0.0)
