@@ -206,7 +206,7 @@ def rk_increment(
     implicit iterate and F(0, x), bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if h < 0:
+    if not 0.0 <= h < math.inf:
         raise ConfigurationError("step must be nonnegative")
     if not tableau.explicit and field.jacobian is None:
         raise ConfigurationError("implicit Euler needs the field's Jacobian")
@@ -281,7 +281,34 @@ def _check_rebuilt_state(
 # trajectories
 
 
-_CERT_COLUMNS = ("h", "lhs", "rhs", "halvings")
+@dataclass(slots=True)
+class DecreaseCertificate:
+    """Outcome of one decrease test; `accepted` compares lhs against rhs
+    with a relative roundoff slack so exact boundary steps pass.
+
+    x_next is the state x + h F(h, x) whose V is lhs, and tableau and field
+    are the scheme it was computed under; `advance` takes x_next as the
+    next state when it realizes this very step, and hands the certificate
+    back to the controller there.  All three are None when the stage solve
+    failed, and none of them shows in repr or equality.
+    lyapunov.decrease_test makes x_next read-only, so lhs stays V(x_next).
+    """
+
+    x: Array
+    h: float
+    lhs: float
+    rhs: float
+    accepted: bool
+    halvings: int = 0
+    reason: str = ""
+    x_next: Optional[Array] = _field(default=None, repr=False, compare=False)
+    tableau: Optional[ButcherTableau] = _field(default=None, repr=False,
+                                               compare=False)
+    field: Optional[VectorField] = _field(default=None, repr=False,
+                                          compare=False)
+
+
+_CERT_COLUMNS = ("h", "lhs", "rhs", "halvings")  # from each certificate
 
 
 @dataclass(frozen=True)
@@ -434,24 +461,27 @@ def advance(
     At each node, after checking that the state is finite and tau < t_end,
     stop(x) is asked whether the run is done; without a stop rule the run
     ends once |x| < 1e-14.  Then max_steps is checked, and only then is the
-    controller called, as controller(x, tau).  It returns either a base
-    step or a (base step, certificate) pair.  An input u_input shrinks the
-    realized step to base * exp(-u_input(tau)); a value of u that is
-    negative or not finite, and a NaN t_end, raise ConfigurationError.  A
-    non-finite state raises FloatingPointError rather than ending the run
-    as if it had converged.
+    controller called, as controller(x, tau), or as controller(x, tau,
+    last) when x is the `x_next` of the certificate `last` that the
+    controller returned at the node before.  It returns either a base step
+    or a DecreaseCertificate, whose h is the base step.  An input u_input
+    shrinks the realized step to base * exp(-u_input(tau)); a value of u
+    that is negative or not finite, and a NaN t_end, raise
+    ConfigurationError.  A non-finite state raises FloatingPointError
+    rather than ending the run as if it had converged.
 
     A certificate that carries the state it tested (`x_next`, as
     lyapunov.decrease_test records it) must come from this call's tableau
     and field objects, or ConfigurationError is raised.  Its state is
     taken as the next one, without stepping again, when it tested this
     very step: the same `x` object and the same realized h.  Otherwise,
-    for instance when u_input shrinks the step, the scheme steps here.
-    Both paths compute x + h * F(h, x) from the same operands, so the
-    states are bit-identical.
+    for instance when u_input shrinks the step, the scheme steps here and
+    the certificate is not handed back.  Both paths compute
+    x + h * F(h, x) from the same operands, so the states are
+    bit-identical.
 
     Each certificate's h, lhs, rhs and halvings are copied into the
-    trajectory's columns, and the certificate itself is not kept.  Either
+    trajectory's columns, and no certificate outlives the run.  Either
     every step comes with a certificate or none does: a run that mixes the
     two raises ConfigurationError at the first step that breaks the
     pattern.  The trajectory's stop_reason records which of the three
@@ -465,6 +495,7 @@ def advance(
     states = [x.copy()]
     steps: list[float] = []
     certified: list[tuple] = []  # (h, lhs, rhs, halvings) per step
+    last = None  # the certificate whose x_next is x
 
     while True:
         nx = math.sqrt(x.dot(x))  # numpy's 1-D norm; inf on overflow
@@ -479,9 +510,9 @@ def advance(
         if max_steps is not None and len(steps) >= max_steps:
             stop_reason = "max_steps"
             break
-        out = controller(x, tau)
-        h_base, cert = out if isinstance(out, tuple) else (out, None)
-        h_base = float(h_base)
+        out = controller(x, tau) if last is None else controller(x, tau, last)
+        cert = out if isinstance(out, DecreaseCertificate) else None
+        h_base = float(out if cert is None else cert.h)
         if not h_base > 0 or not math.isfinite(h_base):
             raise ControllerError(f"controller proposed step {h_base} at tau={tau}")
         if steps and (cert is None) == bool(certified):
@@ -497,13 +528,15 @@ def advance(
                 raise ConfigurationError(
                     f"input u={u} at tau={tau} must be nonnegative and finite")
             h = h_base * math.exp(-u)
-        x_next = getattr(cert, "x_next", None)
+        x_next = None if cert is None else cert.x_next
         if x_next is not None and (cert.tableau is not scheme
                                    or cert.field is not field):
             raise ConfigurationError(
                 f"certificate at tau={tau} was computed under another "
                 f"tableau or field")
-        if x_next is None or not (cert.x is x and cert.h == h):
+        reused = x_next is not None and cert.x is x and cert.h == h
+        last = cert if reused else None
+        if not reused:
             x_next = (scheme(x, h) if callable(scheme)
                       else x + h * rk_increment(scheme, field, x, h))
         x = x_next

@@ -109,13 +109,14 @@ def error_budget_step(budget: ErrorBudget, tau_i: float, phi_at_x: float) -> flo
 
     min( (2L/K)^{1/p} e^{(sigma/p) tau} (2 a(|x0|)/eps)^{-(q+lam)/(p lam)},
          phi ); monotone increasing in tau.  A rule too large for a float
-    exceeds every finite cap, so phi is returned, as for eps = inf.  A NaN
-    tau_i is refused.
+    exceeds every finite cap, so phi is returned, as for eps = inf.  A
+    tau_i outside [0, inf) and a phi that is not positive and finite are
+    refused.
     """
-    if phi_at_x <= 0:
-        raise ConfigurationError("phi cap must be positive")
-    if math.isnan(tau_i):
-        raise ConfigurationError("tau_i must not be NaN")
+    if not 0.0 < phi_at_x < math.inf:
+        raise ConfigurationError("phi cap must be positive and finite")
+    if not 0.0 <= tau_i < math.inf:
+        raise ConfigurationError("tau_i must lie in [0, inf)")
     big_l, big_k, p = budget.l_of_x0, budget.k_of_x0, budget.p
     ratio = 2.0 * float(budget.a_gain(budget.x0_norm)) / budget.epsilon
     if ratio <= 0.0:

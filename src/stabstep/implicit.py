@@ -10,6 +10,8 @@ core.advance and lyapunov.decrease_test like any other tableau.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -31,7 +33,7 @@ def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
     also verifies Y's residual.
     """
     x = np.asarray(x, dtype=float)
-    if h < 0:
+    if not 0.0 <= h < math.inf:
         raise ConfigurationError("step must be nonnegative")
     if h == 0.0:
         return x.copy()

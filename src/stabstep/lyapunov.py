@@ -12,7 +12,7 @@ Euler with a constant Hessian, linear systems with quadratic V).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     ButcherTableau,
     ConfigurationError,
     ControllerError,
+    DecreaseCertificate,
     EULER,
     HybridTrajectory,
     StageSolveError,
@@ -97,39 +98,12 @@ def quadratic_lyapunov(p: Array) -> LyapunovFunction:
     )
 
 
-@dataclass(slots=True)
-class DecreaseCertificate:
-    """Outcome of one decrease test; `accepted` compares lhs against rhs
-    with a relative roundoff slack so exact boundary steps pass.
-
-    x_next is the state x + h F(h, x) whose V is lhs, and tableau and field
-    are the scheme it was computed under; core.advance takes x_next as the
-    next state when it realizes this very step.  All three are None when
-    the stage solve failed, and none of them shows in repr or equality.
-    decrease_test makes x_next read-only, so lhs stays V(x_next) and a
-    controller may hand it forward as V at the next node.
-    """
-
-    x: Array
-    h: float
-    lhs: float
-    rhs: float
-    accepted: bool
-    halvings: int = 0
-    reason: str = ""
-    x_next: Optional[Array] = _field(default=None, repr=False, compare=False)
-    tableau: Optional[ButcherTableau] = _field(default=None, repr=False,
-                                               compare=False)
-    field: Optional[VectorField] = _field(default=None, repr=False,
-                                          compare=False)
-
-
 def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array,
                 v: Optional[float] = None):
     """(f(x), V(x), grad V(x) . f(x)): what every decrease test at x shares.
 
-    v, when given, must be V(x), as a certificate whose x_next is x holds
-    it in lhs; V is then not evaluated again.
+    v, when given, must be V(x): a controller handed the certificate whose
+    x_next is x passes its lhs.  V is then not evaluated again.
     """
     fx = field(x)
     return fx, lyap(x) if v is None else v, float(lyap.gradient(x) @ fx)
@@ -156,7 +130,7 @@ def decrease_test(
     halvings is recorded in the certificate as the number of halvings that
     led to h.  The certificate's x_next is read-only.
     """
-    if h <= 0:
+    if not 0.0 < h < math.inf:
         raise ConfigurationError("decrease test needs h > 0")
     check_lam(lam)
     x = np.asarray(x, dtype=float)
@@ -318,54 +292,40 @@ def certify_trajectory(
 # controller objects for core.advance
 
 
-def _node_v(last: Optional[DecreaseCertificate], x: Array) -> Optional[float]:
-    """V(x) when x is the very state the last certificate tested, else None.
-
-    core.advance hands a certificate's x_next object on as the next node;
-    decrease_test made it read-only, so its lhs is still V(x).
-    """
-    return last.lhs if last is not None and last.x_next is x else None
-
-
-@dataclass
+@dataclass(frozen=True)
 class HalvingController:
     """Start each step from h_init and halve until the decrease test
-    accepts."""
+    accepts; returns that test's certificate.  last, when given, must be
+    the certificate whose x_next is x, and its lhs serves as V(x)."""
 
     lyap: LyapunovFunction
     tableau: ButcherTableau
     field: VectorField
     lam: float
     h_init: float
-    _last: Optional[DecreaseCertificate] = _field(
-        default=None, init=False, repr=False, compare=False)
 
-    def __call__(self, x: Array, tau: float):
-        lyap, field = self.lyap, self.field
-        terms = state_terms(lyap, field, x, _node_v(self._last, x))
-        cert = self._last = halving_controller(
-            lyap, self.tableau, field, x, self.h_init, self.lam, terms=terms)
-        return cert.h, cert
+    def __call__(self, x: Array, tau: float, last=None) -> DecreaseCertificate:
+        terms = state_terms(self.lyap, self.field, x, last and last.lhs)
+        return halving_controller(self.lyap, self.tableau, self.field, x,
+                                  self.h_init, self.lam, terms=terms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EulerQController:
-    """Explicit-Euler controller using the curvature bound directly."""
+    """Explicit-Euler controller using the curvature bound directly;
+    returns the decrease test of its step.  last is as for
+    HalvingController."""
 
     lyap: LyapunovFunction
     field: VectorField
     lam: float
     r: float
-    _last: Optional[DecreaseCertificate] = _field(
-        default=None, init=False, repr=False, compare=False)
 
-    def __call__(self, x: Array, tau: float):
+    def __call__(self, x: Array, tau: float, last=None) -> DecreaseCertificate:
         lyap, field, lam = self.lyap, self.field, self.lam
-        terms = state_terms(lyap, field, x, _node_v(self._last, x))
+        terms = state_terms(lyap, field, x, last and last.lhs)
         h = euler_q_phi(lyap, field, x, lam, self.r, terms=terms)
-        cert = self._last = decrease_test(lyap, EULER, field, x, h, lam,
-                                          terms=terms)
-        return h, cert
+        return decrease_test(lyap, EULER, field, x, h, lam, terms=terms)
 
 
 @dataclass

@@ -59,7 +59,7 @@ class CascadeSystem:
 
 def partitioned_step(sys: CascadeSystem, x: Array, h: float) -> Array:
     """One semi-implicit chain update of every node from the pre-step x."""
-    if h <= 0:
+    if not 0.0 < h < math.inf:
         raise ConfigurationError("step must be positive")
     if sys.r is not None and h > sys.r:
         raise ConfigurationError(f"step {h} exceeds the chain bound r={sys.r}")

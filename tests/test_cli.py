@@ -2,8 +2,10 @@
 codes, and the pinned set of options."""
 
 import argparse
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,12 +222,16 @@ def test_verify_negative_seed_exits_2(capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the checkout's src comes first, so an installed copy is not run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "stabstep.cli", "run", "halving-f1",
          "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "halving-f1:" in proc.stdout
     assert "certified=True" in proc.stdout
 

@@ -93,6 +93,11 @@ class TestRkIncrement:
         out = rk_increment(EULER, f, np.array([1.0]), 0.3)
         assert out[0] == -1.0
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_refuses_a_non_finite_step(self, h):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            rk_increment(EULER, scalar_decay(), np.array([1.0]), h)
+
     @pytest.mark.parametrize("tab", [EULER, HEUN, IMPROVED_POLYGON,
                                      KUTTA3, RK4, IMPLICIT_EULER])
     def test_zero_step_collapses_to_f(self, tab):

@@ -143,6 +143,18 @@ class TestBudgetStepRule:
         with pytest.raises(ConfigurationError, match="tau_i"):
             error_budget_step(unit_budget(), math.nan, phi_at_x=0.7)
 
+    @pytest.mark.parametrize("tau", [math.inf, -math.inf, -1.0])
+    def test_time_outside_the_half_line_is_refused(self, tau):
+        # at the tiny epsilon, tau = inf used to give exp(inf) * 0.0 = NaN
+        budget = unit_budget(epsilon=1e-120)
+        with pytest.raises(ConfigurationError, match=r"tau_i must lie in"):
+            error_budget_step(budget, tau, phi_at_x=0.7)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 0.0, -1.0])
+    def test_cap_must_be_positive_and_finite(self, phi):
+        with pytest.raises(ConfigurationError, match="phi cap"):
+            error_budget_step(unit_budget(epsilon=0.1), 0.0, phi_at_x=phi)
+
     def test_general_rule_matches_euler_instance(self):
         # first order with K = L^2/2 collapses the generic constant to 4/L
         big_l, sigma, lam, eps, a0 = 0.8, 1.3, 0.4, 0.05, 2.0 * 1.5

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from stabstep import core
 from stabstep.core import (
+    ConfigurationError,
     ConstantController,
     HybridTrajectory,
     IMPLICIT_EULER,
@@ -47,6 +48,12 @@ def test_scalar_decay_huge_step():
     out = implicit_euler_step(linear_field(np.array([[-1.0]])),
                               np.array([1.0]), 10.0)
     assert out[0] == pytest.approx(1.0 / 11.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_refuses_a_non_finite_step(h):
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        implicit_euler_step(linear_field(M1), np.array([1.0, 0.0]), h)
 
 
 def test_zero_step_is_identity():

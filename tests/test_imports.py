@@ -49,8 +49,9 @@ def test_benchmark_finds_its_names():
     """bench/workloads.py imports names from the package and
     bench/tracing.py wraps others; removing one fails here, not only in a
     traced benchmark run.  One traced implicit Euler run then checks that
-    the wrappers read their calls' arguments and count the work.  bench/
-    is read in place, nothing is written."""
+    the wrappers read their calls' arguments and count the work, and that
+    the class-level controller wrapper sees every call, the handed-back
+    certificate included.  bench/ is read in place, nothing is written."""
     proc = run_python(
         f"import sys\n"
         f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
@@ -65,9 +66,11 @@ def test_benchmark_finds_its_names():
         f"core.advance(core.IMPLICIT_EULER, f, ctrl, np.ones(2), 1.0)\n"
         f"calls = tr.totals()[0]\n"
         f"print(calls['core.advance'], calls['core.rk_increment.implicit'] > 0,"
-        f" calls['core.field'] > 0, tr.counts['core.advance.steps'] > 0)\n")
+        f" calls['core.field'] > 0, tr.counts['core.advance.steps'] > 0,\n"
+        f"      calls['lyapunov.HalvingController']"
+        f" == tr.counts['core.advance.steps'])\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "True", "True"]
+    assert proc.stdout.split() == ["1", "True", "True", "True", "True"]
 
 
 def test_public_names_resolve_and_none_is_a_module():

@@ -3,7 +3,7 @@
 import gc
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -107,6 +107,12 @@ class TestDecreaseTest:
     def test_origin_always_passes(self):
         cert = decrease_test(vsq(), EULER, spiral(), np.zeros(2), 1.0, 0.5)
         assert cert.accepted
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_refuses_a_non_finite_step(self, h):
+        with pytest.raises(ConfigurationError, match="h > 0"):
+            decrease_test(vsq(), EULER, spiral(), np.array([1.0, 0.0]), h,
+                          0.5)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ConfigurationError):
@@ -489,12 +495,12 @@ class TestStateTermsHandOff:
         for tab, ctrl in runs:
             costs, certs = [], []
 
-            def costed(x, tau):
+            def costed(x, tau, *last):
                 before = work.copy()
-                out = ctrl(x, tau)
+                cert = ctrl(x, tau, *last)
                 costs.append(work - before)
-                certs.append(out[1])
-                return out
+                certs.append(cert)
+                return cert
 
             with mock.patch.object(lyapunov, "DecreaseCertificate",
                                    certificate), \
@@ -536,12 +542,13 @@ class TestStateTermsHandOff:
         work = Counter()
         lyap = vsq()
         ctrl = make(replace(lyap, v=counted(work, "V", lyap.v)), spiral())
-        _, cert = ctrl(np.array([1.0, 0.5]), 0.0)
-        # an equal copy of the last x_next first, then the next x_next itself
-        for evaluated in (1, 0):
-            x = cert.x_next.copy() if evaluated else cert.x_next
+        cert = ctrl(np.array([1.0, 0.5]), 0.0)
+        # handed the last certificate, V runs only in the decrease tests;
+        # without it, once more, at x
+        for evaluated in (0, 1, 0):
+            x = cert.x_next
             work.clear()
-            _, cert = ctrl(x, 0.0)
+            cert = ctrl(x, 0.0) if evaluated else ctrl(x, 0.0, cert)
             assert work["V"] == evaluated + cert.halvings + 1
             assert cert.rhs == decrease_test(lyap, cert.tableau, spiral(), x,
                                              cert.h, 0.6).rhs
@@ -581,10 +588,10 @@ class TestCertificateColumns:
     @staticmethod
     def capturing(ctrl, certs):
         """ctrl, appending every certificate it returns to certs."""
-        def wrapped(x, tau):
-            out = ctrl(x, tau)
-            certs.append(out[1])
-            return out
+        def wrapped(x, tau, *last):
+            cert = ctrl(x, tau, *last)
+            certs.append(cert)
+            return cert
         return wrapped
 
     @settings(max_examples=20, deadline=None)
@@ -615,19 +622,37 @@ class TestCertificateColumns:
 
     def test_no_certificate_is_reachable(self):
         f = spiral()
-        ctrl = HalvingController(vsq(), RK4, f, lam=0.5, h_init=1.0)
-        traj = advance(RK4, f, ctrl, np.array([1.0, 0.5]), t_end=3.0)
-        assert traj.steps.size and isinstance(ctrl._last, DecreaseCertificate)
-        # classes and modules lead to every live object, so stop at them
-        seen, todo = set(), [traj]
-        while todo:
-            obj = todo.pop()
-            if id(obj) in seen or isinstance(obj, (type, type(gc))):
-                continue
-            seen.add(id(obj))
-            assert not isinstance(obj, DecreaseCertificate)
-            todo.extend(gc.get_referents(obj))
-        assert len(seen) > 5
+        for tab, ctrl in ((RK4, HalvingController(vsq(), RK4, f, 0.5, 1.0)),
+                          (EULER, EulerQController(vsq(), f, 0.5, 1.0))):
+            traj = advance(tab, f, ctrl, np.array([1.0, 0.5]), t_end=3.0)
+            assert traj.steps.size
+            # classes and modules lead to every live object, so stop at them
+            seen, todo = set(), [traj, ctrl]
+            while todo:
+                obj = todo.pop()
+                if id(obj) in seen or isinstance(obj, (type, type(gc))):
+                    continue
+                seen.add(id(obj))
+                assert not isinstance(obj, DecreaseCertificate)
+                todo.extend(gc.get_referents(obj))
+            assert len(seen) > 5
+
+    def test_a_controller_keeps_no_run_state(self):
+        f = spiral()
+        x0s = (np.array([1.0, 0.5]), np.array([-0.3, 2.0]))
+        for make, tab in (
+                (lambda: HalvingController(vsq(), HEUN, f, 0.6, 0.9), HEUN),
+                (lambda: EulerQController(vsq(), f, 0.6, 0.9), EULER)):
+            shared = make()
+            for x0 in x0s:
+                again = advance(tab, f, shared, x0, t_end=3.0)
+                fresh = advance(tab, f, make(), x0, t_end=3.0)
+                for name in ("tau", "states", "steps", "h", "lhs", "rhs",
+                             "halvings"):
+                    assert np.array_equal(getattr(again, name),
+                                          getattr(fresh, name))
+            with pytest.raises(FrozenInstanceError):
+                shared.lam = 0.5
 
     @pytest.mark.parametrize("certified_first", [True, False])
     def test_a_mixed_run_is_refused(self, certified_first):
@@ -635,10 +660,10 @@ class TestCertificateColumns:
         ctrl = HalvingController(vsq(), EULER, f, lam=0.5, h_init=1.0)
         taus = []
 
-        def mixed(x, tau):
+        def mixed(x, tau, *last):
             taus.append(tau)
-            h, cert = ctrl(x, tau)
-            return (h, cert) if (len(taus) == 1) == certified_first else h
+            cert = ctrl(x, tau, *last)
+            return cert if (len(taus) == 1) == certified_first else cert.h
 
         with pytest.raises(ConfigurationError) as err:
             advance(EULER, f, mixed, np.array([1.0, 0.5]), t_end=3.0)

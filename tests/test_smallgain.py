@@ -64,6 +64,11 @@ class TestPartitionedStep:
         with pytest.raises(ConfigurationError):
             partitioned_step(chain, np.ones(3), 0.6)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_refuses_a_non_finite_step(self, h):
+        with pytest.raises(ConfigurationError, match="step must be positive"):
+            partitioned_step(unit_chain(3), np.ones(3), h)
+
 
 class TestAdvanceChain:
     def test_clock_and_shapes(self):
