@@ -21,6 +21,7 @@ from .core import (
     IMPROVED_POLYGON,
     KUTTA3,
     VectorField,
+    _matvec,
     advance,
     linear_field,
     write_csv,
@@ -50,7 +51,7 @@ class ExampleSystem:
 
 def _v_sq() -> LyapunovFunction:
     return LyapunovFunction(
-        v=lambda x: float(x @ x),
+        v=lambda x: float(x.dot(x)),
         grad=lambda x: 2.0 * x,
         hess=lambda x: 2.0 * np.eye(x.size),
         convex=True,
@@ -70,7 +71,7 @@ def example_fields() -> dict[str, ExampleSystem]:
     f1_field = linear_field(_M1)
 
     def f2(x: Array) -> Array:
-        s = x @ x
+        s = x.dot(x)
         return np.array([-s * x[0] + x[1], -x[0] - s * x[1]])
 
     def f2_jac(x: Array) -> Array:
@@ -83,11 +84,11 @@ def example_fields() -> dict[str, ExampleSystem]:
     f2_field = VectorField(dim=2, f=f2, jacobian=f2_jac)
 
     def f3(x: Array) -> Array:
-        return (x @ x) * (_M1 @ x)
+        return x.dot(x) * _M1.dot(x)
 
     f3_field = VectorField(
         dim=2, f=f3,
-        jacobian=lambda x: (x @ x) * _M1 + 2.0 * np.outer(_M1 @ x, x))
+        jacobian=lambda x: x.dot(x) * _M1 + 2.0 * np.outer(_M1.dot(x), x))
 
     def f427(x: Array) -> Array:
         return np.array([-x[0] + x[1] * x[1], -x[1] - x[0] * x[1]])
@@ -98,7 +99,7 @@ def example_fields() -> dict[str, ExampleSystem]:
                                      [-x[1], -1.0 - x[0]]]))
 
     v427 = LyapunovFunction(
-        v=lambda x: 0.5 * float(x @ x),
+        v=lambda x: 0.5 * float(x.dot(x)),
         grad=lambda x: x.astype(float),
         hess=lambda x: np.eye(2),
         convex=True,
@@ -137,8 +138,15 @@ def stiff_phi(x1: float, x2: float, lam: float, r: float) -> float:
     is chaotic enough that reassociating these products changes the step
     pattern within a few hundred steps.  Do not "simplify".  A zero
     denominator (the origin, or a state so small that den underflows)
-    imposes no restriction and returns r, as in `linear_phi`.
+    imposes no restriction and returns r, as in `linear_phi`.  A lam
+    outside (0, 1), a cap r that is not positive and finite, and an x1 or
+    x2 that is not finite raise ConfigurationError.
     """
+    check_lam(lam)
+    check_cap(r)
+    for name, value in (("x1", x1), ("x2", x2)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite")
     num = (1000.0 * (x1 * x1) + x2 * x2) - x1 * x2
     den = 1000000.0 * (x1 * x1) + (x1 - x2) * (x1 - x2)
     if den == 0.0:
@@ -294,7 +302,9 @@ def nlp_flow(q: Array, c: Array, a: Array, b: Array) -> NlpFlow:
     the constant G^2, and kkt_point solves G w = (-c, b).  A Q, c, A or b
     that is not finite, a Q that is not square, symmetric and positive
     definite, a c, A or b whose size does not match Q's, and linearly
-    dependent rows of A raise ConfigurationError.
+    dependent rows of A raise ConfigurationError.  The field and V take
+    their products with ndarray.dot, bit for bit the matmul's
+    (`core._matvec`).
     """
     q = np.asarray(q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -320,17 +330,19 @@ def nlp_flow(q: Array, c: Array, a: Array, b: Array) -> NlpFlow:
     if abs(np.linalg.det(gram)) < 1e-12 * max(1.0, float(np.trace(gram)) ** m):
         raise ConfigurationError("constraint rows must be linearly independent")
 
+    q_dot, a_dot, at_dot = _matvec(q), _matvec(a), _matvec(a.T)
+
     def residuals(w: Array) -> tuple[Array, Array]:
         x, z = w[:n], w[n:]
-        return q @ x + c + a.T @ z, a @ x - b
+        return q_dot(x) + c + at_dot(z), a_dot(x) - b
 
     def fvec(w: Array) -> Array:
         g, cons = residuals(w)
-        return np.concatenate([-(q @ g + a.T @ cons), -(a @ g)])
+        return np.concatenate([-(q_dot(g) + at_dot(cons)), -a_dot(g)])
 
     def v(w: Array) -> float:
         g, cons = residuals(w)
-        return 0.5 * float(g @ g) + 0.5 * float(cons @ cons)
+        return 0.5 * float(g.dot(g)) + 0.5 * float(cons.dot(cons))
 
     gmat = np.block([[q, a.T], [a, np.zeros((m, m))]])
     gsq = gmat @ gmat

@@ -69,6 +69,20 @@ class VectorField:
         return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
 
 
+def _matvec(m: Array) -> Callable[[Array], Array]:
+    """u -> m @ u, bit for bit, computed by m.dot.
+
+    Both reach the same BLAS call, but the matmul operator's dispatch
+    outweighs the arithmetic on the few-element arrays of a step.  Given a
+    one-element u, dot scales m's column by it without the matmul's sum
+    from +0.0, so a product that rounds to -0.0 stays -0.0; for such an m
+    the + 0.0 here turns it into the matmul's +0.0.
+    """
+    if m.shape[1] > 1:
+        return m.dot
+    return lambda u: m.dot(u) + 0.0
+
+
 def linear_field(a: Array) -> VectorField:
     """Wrap the linear field f(x) = A x, with its Jacobian and matrix."""
     a = np.asarray(a, dtype=float)
@@ -78,7 +92,7 @@ def linear_field(a: Array) -> VectorField:
         raise ConfigurationError("linear field matrix a must be finite")
     return VectorField(
         dim=a.shape[0],
-        f=lambda x: a @ x,
+        f=_matvec(a),
         jacobian=lambda x: a,
         linear_matrix=a,
     )
@@ -98,8 +112,9 @@ class ButcherTableau:
     implicit Euler, a = [[1]], the one `rk_increment` solves.  The
     `explicit` flag (strict lower-triangularity of `a`) is computed there
     too, and so is `stage_terms`: for each stage row i >= 1, the pair
-    (j, a[i, j]) when a[i, j] is the row's one nonzero coefficient, else
-    None.  Neither takes part in the constructor, repr or equality.
+    (j, a[i, j]) when no other coefficient of the row is nonzero (j = 0 in
+    a row of zeros), else None.  Neither takes part in the constructor,
+    repr or equality.
     """
 
     name: str
@@ -126,8 +141,8 @@ class ButcherTableau:
         terms = []
         for i in range(1, b.size):
             (nonzero,) = np.nonzero(a[i, :i])
-            terms.append((int(nonzero[0]), float(a[i, nonzero[0]]))
-                         if nonzero.size == 1 else None)
+            j = int(nonzero[0]) if nonzero.size else 0
+            terms.append((j, float(a[i, j])) if nonzero.size <= 1 else None)
         object.__setattr__(self, "stage_terms", tuple(terms))
 
     @property
@@ -182,14 +197,18 @@ def rk_increment(
     """Increment F(h, x) of the scheme, with F(0, x) = f(x).
 
     Explicit tableaus evaluate the stages sequentially.  A stage row with
-    one nonzero coefficient a[i, j] forms a[i, j] k_j + 0.0 instead of the
-    matmul a[i, :i] @ k[:i], and a one-stage tableau with b = [1] returns
-    f(x) + 0.0 instead of b @ k.  For finite stages both are the matmul bit
-    for bit: a matmul sums its products from +0.0, every other product is
-    a zero, and adding zeros to a nonzero sum is exact; the + 0.0 turns a
-    -0.0 into the +0.0 the matmul returns.  (A non-finite earlier stage
-    times a zero coefficient is NaN in the matmul, not in the shortcut;
-    the increment is non-finite either way.)
+    at most one nonzero coefficient a[i, j] (`stage_terms`) forms
+    a[i, j] k_j + 0.0 instead of the matmul a[i, :i] @ k[:i], and a
+    one-stage tableau with b = [1] returns f(x) + 0.0 instead of b @ k.
+    For finite stages both are the matmul bit for bit: a matmul sums its
+    products from +0.0, every other product is a zero, and adding zeros to
+    a nonzero sum is exact; the + 0.0 turns a -0.0 into the +0.0 the
+    matmul returns.  (A non-finite earlier stage times a zero coefficient
+    is NaN in the matmul, not in the shortcut; the increment is
+    non-finite either way.)  The other rows and b @ k are formed by
+    ndarray.dot, the matmul's BLAS call without its dispatch cost; their
+    coefficient vectors have two or more elements, where the two agree
+    bit for bit (`_matvec`).
 
     Implicit Euler, the one implicit tableau, solves y = x + h f(y) from
     y = x by Newton iteration with I - h J(y), to a residual of
@@ -223,11 +242,11 @@ def rk_increment(
         k[0] = fx
         for i, term in enumerate(terms, 1):
             if term is None:
-                k[i] = field(x + h * (a[i, :i] @ k[:i]))
+                k[i] = field(x + h * a[i, :i].dot(k[:i]))
             else:
                 j, aij = term
                 k[i] = field(x + h * (aij * k[j] + 0.0))
-        return tableau.b @ k
+        return tableau.b.dot(k)
 
     # |r| sums the squares in index order: np.linalg.norm of a 1-D array
     # takes a dot product instead, which can round differently
@@ -235,7 +254,7 @@ def rk_increment(
     y, fy = x, fx
     for _ in range(_STAGE_MAX_ITER):
         res = y - x - h * fy
-        if math.sqrt((res ** 2).sum()) <= tol:
+        if math.sqrt(np.add.reduce(res * res)) <= tol:
             break
         jac = _identity(x.size) - h * np.asarray(field.jacobian(y),
                                                  dtype=float)
@@ -470,9 +489,11 @@ def advance(
     ConfigurationError.  A non-finite state raises FloatingPointError
     rather than ending the run as if it had converged.
 
-    A certificate that carries the state it tested (`x_next`, as
-    lyapunov.decrease_test records it) must come from this call's tableau
-    and field objects, or ConfigurationError is raised.  Its state is
+    A certificate whose x is not the current state, equal in value if not
+    the same object, raises ConfigurationError.  One that carries the
+    state it tested (`x_next`, as lyapunov.decrease_test records it) must
+    come from this call's tableau and field objects, or
+    ConfigurationError is raised too.  Its state is
     taken as the next one, without stepping again, when it tested this
     very step: the same `x` object and the same realized h.  Otherwise,
     for instance when u_input shrinks the step, the scheme steps here and
@@ -520,6 +541,9 @@ def advance(
                 f"step at tau={tau} {'lacks' if cert is None else 'has'} a "
                 f"certificate, unlike the steps before it")
         if cert is not None:
+            if cert.x is not x and not np.array_equal(cert.x, x):
+                raise ConfigurationError(
+                    f"certificate at tau={tau} tested another state")
             certified.append((cert.h, cert.lhs, cert.rhs, cert.halvings))
         h = h_base
         if u_input is not None:

@@ -27,6 +27,7 @@ from .core import (
     HybridTrajectory,
     StageSolveError,
     VectorField,
+    _matvec,
     rk_increment,
     write_csv,
 )
@@ -80,7 +81,11 @@ class LyapunovFunction:
 
 
 def quadratic_lyapunov(p: Array) -> LyapunovFunction:
-    """V(x) = x' P x for symmetric positive semidefinite P."""
+    """V(x) = x' P x for symmetric positive semidefinite P.
+
+    V and its gradient take their products with ndarray.dot, bit for bit
+    the matmul's (`core._matvec`); the + 0.0 on V gives a one-element
+    product's -0.0 the matmul's +0.0 and changes nothing else."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ConfigurationError("P must be a square matrix")
@@ -89,9 +94,10 @@ def quadratic_lyapunov(p: Array) -> LyapunovFunction:
     if not np.allclose(p, p.T, atol=1e-12):
         raise ConfigurationError("P must be symmetric")
     convex = bool(np.all(np.linalg.eigvalsh(p) >= -1e-12))
+    p_dot = _matvec(p)
     return LyapunovFunction(
-        v=lambda x: float(x @ p @ x),
-        grad=lambda x: 2.0 * (p @ x),
+        v=lambda x: float(x.dot(p).dot(x)) + 0.0,
+        grad=lambda x: 2.0 * p_dot(x),
         hess=lambda x: 2.0 * p,
         convex=convex,
         hess_constant=True,
@@ -103,10 +109,12 @@ def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array,
     """(f(x), V(x), grad V(x) . f(x)): what every decrease test at x shares.
 
     v, when given, must be V(x): a controller handed the certificate whose
-    x_next is x passes its lhs.  V is then not evaluated again.
+    x_next is x passes its lhs.  V is then not evaluated again.  The
+    product is the matmul's bit for bit, + 0.0 as in quadratic_lyapunov.
     """
     fx = field(x)
-    return fx, lyap(x) if v is None else v, float(lyap.gradient(x) @ fx)
+    return (fx, lyap(x) if v is None else v,
+            float(lyap.gradient(x).dot(fx)) + 0.0)
 
 
 def decrease_test(
@@ -197,7 +205,8 @@ def euler_q_phi(
     curvature obstruction and the cap r is returned.  A V not declared
     hess_constant is refused with ConfigurationError.  terms, when given,
     must be state_terms(lyap, field, x); its f(x) and grad V . f then serve
-    the curvature too, and the decrease test of the chosen step.
+    the curvature too, and the decrease test of the chosen step.  A
+    grad V . f that is not finite at x raises ConfigurationError.
     """
     check_cap(r)
     if lyap.hess is None or not lyap.hess_constant:
@@ -205,11 +214,13 @@ def euler_q_phi(
                                  "hess_constant")
     x = np.asarray(x, dtype=float)
     fx, _, w = terms or state_terms(lyap, field, x)
-    if w >= 0.0:
+    if not -math.inf < w < 0.0:
         if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
             return r
+        if not math.isfinite(w):
+            raise ConfigurationError(f"grad V . f at x is {w}, not finite")
         raise ConfigurationError("grad V . f must be negative away from 0")
-    q = float(fx @ np.asarray(lyap.hess(x), dtype=float) @ fx)
+    q = float(fx.dot(np.asarray(lyap.hess(x), dtype=float)).dot(fx))
     if q <= 0.0:
         return r
     return min(2.0 * (1.0 - lam) * (-w) / q, r)
@@ -219,17 +230,20 @@ def linear_phi(a: Array, p: Array, x: Array, lam: float, r: float) -> float:
     """Explicit-Euler step for x' = Ax with V = x'Px, in closed form.
 
     Requires the decrease direction x'(A'P + PA)x < 0 at the given x; a zero
-    denominator (Ax = 0) imposes no restriction and returns r.
+    denominator (Ax = 0) imposes no restriction and returns r.  A state x
+    that is not finite raises ConfigurationError.
     """
     check_cap(r)
     a = np.asarray(a, dtype=float)
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ConfigurationError("state x must be finite")
     if float(np.linalg.norm(x)) == 0.0:
         return r
-    ax = a @ x
-    num = float(x @ (a.T @ p + p @ a) @ x)
-    den = float(ax @ p @ ax)
+    ax = a.dot(x)
+    num = float(x.dot(a.T.dot(p) + p.dot(a)).dot(x))
+    den = float(ax.dot(p).dot(ax))
     if num >= 0.0:
         raise ConfigurationError("x'(A'P+PA)x must be negative: A not Hurwitz "
                                  "for this P, or x in a bad direction")

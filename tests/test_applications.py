@@ -122,6 +122,19 @@ class TestStiffPair:
         assert stiff_phi(0.0, 0.0, 0.5, 2.0) == 2.0
         assert stiff_phi(1e-170, 1e-170, 0.5, 2.0) == 2.0  # den underflows
 
+    @pytest.mark.parametrize("args, match", [
+        ((math.nan, 1.0, 0.6, 1.0), "x1 must be finite"),
+        ((1.0, math.inf, 0.6, 1.0), "x2 must be finite"),
+        ((1.0, 1.0, math.nan, 1.0), "lam must lie in"),
+        ((1.0, 1.0, 1.5, 1.0), "lam must lie in"),
+        # min(h, nan) is h: a NaN cap would mean no cap at all
+        ((1.0, 1.0, 0.6, math.nan), "r must be positive and finite"),
+        ((1.0, 1.0, 0.6, 0.0), "r must be positive and finite"),
+    ])
+    def test_bad_inputs_are_refused(self, args, match):
+        with pytest.raises(ConfigurationError, match=match):
+            stiff_phi(*args)
+
     def test_a_step_onto_the_origin(self):
         traj = stiff_experiment(0.5, 1.0, (0.0, 1.0), 3)
         assert traj.states.tolist() == [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]

@@ -246,6 +246,27 @@ class TestStageShortcuts:
         assert rk_increment(tab, field, x, h).tobytes() == expected.tobytes()
         assert inputs == plain_inputs  # every stage state, signed zeros too
 
+    def test_row_of_zeros_in_one_dimension(self):
+        # a row of zeros takes the one-term shortcut: the dot of a
+        # one-element row would keep the -0.0 of 0.0 * k_1 that a matmul
+        # turns into +0.0, and the stage state would be -0.0
+        tab = ButcherTableau("zero-row", [[0.0, 0.0], [0.0, 0.0]],
+                             [0.0, 1.0], 1)
+        assert tab.stage_terms == ((0, 0.0),)
+        inputs = []
+
+        def f(y):
+            inputs.append(y.tobytes())
+            return 1.0 * y
+
+        field = VectorField(dim=1, f=f)
+        x = np.array([-0.0])
+        out = rk_increment(tab, field, x, 0.5)
+        shortcut_inputs = inputs[:]
+        inputs.clear()
+        assert out.tobytes() == plain_increment(tab, field, x, 0.5).tobytes()
+        assert shortcut_inputs == inputs
+
     @pytest.mark.parametrize("tab", [EULER, HEUN, RK4])
     def test_signed_zeros(self, tab):
         # f(y) = y keeps the -0.0 of x in k_1, and a matmul stage row or

@@ -45,6 +45,18 @@ def test_no_module_imports_scipy_stats():
     assert found == []
 
 
+def test_stepping_modules_take_no_matmul_operator():
+    # on a step's few-element arrays the dispatch of `@` outweighs the
+    # arithmetic; ndarray.dot reaches the same BLAS routine without it
+    found = []
+    for name in ("core.py", "lyapunov.py"):
+        path = ROOT / "src" / "stabstep" / name
+        found += [f"{name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(getattr(node, "op", None), ast.MatMult)]
+    assert found == []
+
+
 def test_benchmark_finds_its_names():
     """bench/workloads.py imports names from the package and
     bench/tracing.py wraps others; removing one fails here, not only in a

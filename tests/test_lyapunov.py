@@ -233,6 +233,16 @@ class TestCurvatureBounds:
         phi = euler_q_phi(vsq(), spiral(), np.zeros(2), 0.5, 2.5)
         assert phi == 2.5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lie_derivative_is_refused(self, bad):
+        # past the sign test, a NaN or infinite grad V . f gives a NaN step
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConfigurationError, match="grad V . f at x"):
+                euler_q_phi(vsq(), spiral(), np.array([bad, 1.0]), 0.5, 1.0)
+            with pytest.raises(ConfigurationError, match="grad V . f at x"):
+                EulerQController(vsq(), spiral(), lam=0.5,
+                                 r=1.0)(np.array([1.0, bad]), 0.0)
+
     @pytest.mark.parametrize("law, r", [
         pytest.param(law, r, id=str(r) if law == "euler_q_phi"
                      else f"{law}-{r}")
@@ -263,6 +273,13 @@ class TestLinearPhi:
         phi = linear_phi(-np.eye(2), np.eye(2) / 2,
                          np.array([3.0, 4.0]), 0.5, 10.0)
         assert phi == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state_is_refused(self, bad):
+        # unrefused, a non-finite x gives a NaN step
+        for x in (np.array([bad, 1.0]), np.array([0.0, bad])):
+            with pytest.raises(ConfigurationError, match="state x"):
+                linear_phi(STIFF, np.eye(2) / 2, x, 0.6, 1.0)
 
     def test_agrees_with_curvature_forms(self):
         lyap = quadratic_lyapunov(np.eye(2) / 2)
@@ -402,6 +419,20 @@ class TestStepReuse:
         with pytest.raises(ConfigurationError,
                            match="tau=0.0 .* another tableau or field"):
             advance(EULER, f, ctrl, self.X0, t_end=3.0)
+
+    def test_certificate_of_another_state_is_refused(self):
+        # the controller always tests x0: its first certificate holds, for
+        # the run's copy of x0; the second would record x0's lhs and rhs
+        # next to a state that has moved on
+        f = spiral()
+        x0 = np.array([0.6, -0.3])
+        c = HalvingController(vsq(), RK4, f, lam=0.5, h_init=1.0)
+        with pytest.raises(ConfigurationError,
+                           match=r"tau=0\.5 tested another state"):
+            advance(RK4, f, lambda x, tau, *l: c(x0, tau), x0, t_end=2.0)
+        traj = advance(RK4, f, lambda x, tau, *l: c(x0, tau), x0, t_end=2.0,
+                       max_steps=1)
+        assert traj.steps.tolist() == [0.5]
 
 
 @st.composite
