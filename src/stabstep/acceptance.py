@@ -38,8 +38,8 @@ from .lyapunov import (
 )
 from .implicit import implicit_euler_step
 from .smallgain import chain_decay_trials, iss_estimate_check
-from .global_error import (ErrorBudget, _compliant_blocks, defect_orders,
-                           order_reduction_exponent)
+from .global_error import (_PIECE, ErrorBudget, _compliant_blocks,
+                           defect_orders, order_reduction_exponent)
 from .applications import (
     boundary_sweep,
     example_fields,
@@ -375,29 +375,53 @@ def _euler_decay_errors(
     one cumprod over the joined sequence: numpy accumulates sequentially,
     so element k of a whole-array cumprod is ((1 - s0) (1 - s1)) ...
     (1 - sk), and seeding a piece's first element with the carried node,
-    x * (1 - s0), continues exactly that chain of roundings.  The work
-    arrays are reused from piece to piece and grow only for a longer one.
+    x * (1 - s0), continues exactly that chain of roundings.  The nodes go
+    into one work array, reused from piece to piece and grown only for a
+    longer one; the errors are formed in neg_tau itself, which the pieces'
+    producer overwrites with its next piece anyway.
     Node 0 contributes |exp(0) - 1| = 0, the initial value of the running
     max, which propagates a NaN from any piece as the whole-array max does.
     """
     x, worst = 1.0, 0.0
-    xs = err = np.empty(0)
+    xs = np.empty(0)
     for steps, neg_tau in pieces:
         n = steps.size
         if n == 0:
             continue
         if xs.size < n:
-            xs, err = np.empty(n), np.empty(n)
-        x_run, e = xs[:n], err[:n]
+            xs = np.empty(n)
+        x_run = xs[:n]
         np.subtract(1.0, steps, out=x_run)
         x_run[0] *= x
         np.cumprod(x_run, out=x_run)
         x = float(x_run[-1])
-        np.exp(neg_tau, out=e)
+        e = np.exp(neg_tau, out=neg_tau)
         np.subtract(e, x_run, out=e)
         np.abs(e, out=e)
         worst = float(np.maximum(worst, np.max(e)))
     return worst
+
+
+def _constant_pieces(h: float, count: int):
+    """`count` steps h as (steps, neg_tau) pieces of at most 2**14 steps.
+
+    neg_tau is the negated running sum of the steps, chained across
+    pieces: seeding a piece's first sum with the carried clock continues
+    numpy's sequential cumsum, so the pieces join to -np.cumsum over the
+    whole sequence bit for bit.  Both arrays are reused from piece to
+    piece, as `_compliant_blocks` reuses its own.
+    """
+    steps = np.full(min(count, _PIECE), h)
+    neg_tau = np.empty(steps.size)
+    tau = 0.0
+    for lo in range(0, count, _PIECE):
+        t = neg_tau[:min(_PIECE, count - lo)]
+        t.fill(h)
+        t[0] += tau
+        np.cumsum(t, out=t)
+        tau = float(t[-1])
+        np.negative(t, out=t)
+        yield steps[:t.size], t
 
 
 def _check_error_budget(tol, rng):
@@ -416,8 +440,8 @@ def _check_error_budget(tol, rng):
     sups = []
     hs = (1e-1, 1e-2, 1e-3)
     for h in hs:
-        steps = np.full(int(round(50.0 / h)), h)
-        sups.append(_euler_decay_errors([(steps, -np.cumsum(steps))]))
+        sups.append(_euler_decay_errors(
+            _constant_pieces(h, int(round(50.0 / h)))))
     slope = float(np.polyfit(np.log(hs), np.log(sups), 1)[0])
     ratio = slope / target
     ok_order = (1.0 / tol.order_reduction_factor

@@ -21,6 +21,7 @@ from .core import (
     IMPROVED_POLYGON,
     KUTTA3,
     VectorField,
+    _chunked,
     _matvec,
     advance,
     linear_field,
@@ -266,9 +267,10 @@ def write_sweep_csv(sweep: dict[str, Array], path) -> None:
 
 def write_steps_csv(traj: HybridTrajectory, path) -> None:
     """Step sequence as rows k,tau,h (tau is the step's start time)."""
-    write_csv(path, ("k", "tau", "h"),
-              zip(range(traj.steps.size), traj.tau.tolist(),
-                  traj.steps.tolist()))
+    tau, steps = traj.tau, traj.steps
+    write_csv(path, ("k", "tau", "h"), _chunked(steps.size, lambda part: zip(
+        range(part.start, part.stop), tau[part].tolist(),
+        steps[part].tolist())))
 
 
 # ---------------------------------------------------------------------------

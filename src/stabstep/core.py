@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field as _field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -249,8 +249,9 @@ def rk_increment(
         return tableau.b.dot(k)
 
     # |r| sums the squares in index order: np.linalg.norm of a 1-D array
-    # takes a dot product instead, which can round differently
-    tol = _STAGE_TOL * (1.0 + float(np.linalg.norm(x)))
+    # takes a dot product instead, which can round differently; |x| here
+    # is that norm, sqrt(x . x) bit for bit, at half its cost
+    tol = _STAGE_TOL * (1.0 + math.sqrt(x.dot(x)))
     y, fy = x, fx
     for _ in range(_STAGE_MAX_ITER):
         res = y - x - h * fy
@@ -262,7 +263,7 @@ def rk_increment(
             y = y - np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:
             raise StageSolveError(f"singular stage Jacobian at h={h}") from exc
-        if not np.isfinite(y).all():
+        if not math.isfinite(y.dot(y)) and not np.isfinite(y).all():
             raise StageSolveError(f"stage Newton iteration diverged at h={h}")
         fy = field(y)
     else:
@@ -435,10 +436,25 @@ def write_csv(path, header: Sequence[str], rows) -> None:
         fh.writelines(fmt % tuple(row) for row in rows)
 
 
+_CHUNK_ROWS = 4096  # rows a writer converts to Python numbers at a time
+
+
+def _chunked(size: int, rows: Callable[[slice], Iterable[tuple]]):
+    """rows(part) chained over consecutive slices of range(size).
+
+    Each slice holds 4,096 rows, so a CSV writer converts its columns to
+    Python numbers one slice at a time and writing costs no memory per row.
+    """
+    for lo in range(0, size, _CHUNK_ROWS):
+        yield from rows(slice(lo, lo + _CHUNK_ROWS))
+
+
 def _node_rows(traj: HybridTrajectory):
     """Rows tau, h, state per node; the final node carries h = 0."""
-    return zip(traj.tau.tolist(), traj.steps.tolist() + [0.0],
-               *traj.states.T.tolist())
+    tau, steps, states = traj.tau, traj.steps, traj.states
+    yield from _chunked(steps.size, lambda part: zip(
+        tau[part].tolist(), steps[part].tolist(), *states[part].T.tolist()))
+    yield (tau[-1].item(), 0.0, *states[-1].tolist())
 
 
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
@@ -462,6 +478,19 @@ class ConstantController:
         return self.h
 
 
+_FIRST_ROWS = 64  # rows each record buffer starts with; doubled when full
+
+
+def _doubled(buf: Array, rows: int) -> Array:
+    """A buffer of twice buf's length holding buf's first `rows` entries.
+
+    The new rows stay unwritten, so their pages are not resident yet.
+    """
+    out = np.empty((2 * buf.shape[0], *buf.shape[1:]), dtype=buf.dtype)
+    out[:rows] = buf[:rows]
+    return out
+
+
 def advance(
     scheme: ButcherTableau | Callable[[Array, float], Array],
     field: Optional[VectorField],
@@ -476,6 +505,8 @@ def advance(
 
     The scheme is a ButcherTableau, stepped as x + h * rk_increment(scheme,
     field, x, h), or a callable step(x, h) -> x_next, with field unused.
+    x0 must be a 1-D state vector, and max_steps, when given, a
+    nonnegative integer; anything else raises ConfigurationError.
 
     At each node, after checking that the state is finite and tau < t_end,
     stop(x) is asked whether the run is done; without a stop rule the run
@@ -487,7 +518,8 @@ def advance(
     shrinks the realized step to base * exp(-u_input(tau)); a value of u
     that is negative or not finite, and a NaN t_end, raise
     ConfigurationError.  A non-finite state raises FloatingPointError
-    rather than ending the run as if it had converged.
+    rather than ending the run as if it had converged, and a next state of
+    another shape than x0 raises ConfigurationError.
 
     A certificate whose x is not the current state, equal in value if not
     the same object, raises ConfigurationError.  One that carries the
@@ -507,15 +539,31 @@ def advance(
     two raises ConfigurationError at the first step that breaks the
     pattern.  The trajectory's stop_reason records which of the three
     checks above ended the run.
+
+    The record is written into column buffers and copied out at the run's
+    length when it ends.  It takes 8 (d + 2) bytes per step, 8 (d + 6)
+    with certificates.  The buffers start at 64 rows and double when full,
+    one column at a time, so a run holds less than three times its record
+    at any moment.
     """
     if math.isnan(t_end):
         raise ConfigurationError("t_end must not be NaN")
-    x = np.asarray(x0, dtype=float).copy()
+    if max_steps is not None and not (
+            isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
+        raise ConfigurationError(
+            f"max_steps must be a nonnegative integer, got {max_steps!r}")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 1:
+        raise ConfigurationError(
+            f"x0 must be a 1-D state vector, got shape {x.shape}")
+    rows = _FIRST_ROWS
+    taus, steps = np.empty(rows), np.empty(rows)
+    states = np.empty((rows, x.size))
+    certs: list[Array] = []  # the h, lhs, rhs and halvings columns
     tau = 0.0
-    taus = [tau]
-    states = [x.copy()]
-    steps: list[float] = []
-    certified: list[tuple] = []  # (h, lhs, rhs, halvings) per step
+    taus[0] = tau
+    states[0] = x
+    n = 0  # steps taken
     last = None  # the certificate whose x_next is x
 
     while True:
@@ -528,7 +576,7 @@ def advance(
         if nx < _NORM_FLOOR if stop is None else stop(x):
             stop_reason = "stop"
             break
-        if max_steps is not None and len(steps) >= max_steps:
+        if max_steps is not None and n >= max_steps:
             stop_reason = "max_steps"
             break
         out = controller(x, tau) if last is None else controller(x, tau, last)
@@ -536,7 +584,7 @@ def advance(
         h_base = float(out if cert is None else cert.h)
         if not h_base > 0 or not math.isfinite(h_base):
             raise ControllerError(f"controller proposed step {h_base} at tau={tau}")
-        if steps and (cert is None) == bool(certified):
+        if n and (cert is None) == bool(certs):
             raise ConfigurationError(
                 f"step at tau={tau} {'lacks' if cert is None else 'has'} a "
                 f"certificate, unlike the steps before it")
@@ -544,7 +592,6 @@ def advance(
             if cert.x is not x and not np.array_equal(cert.x, x):
                 raise ConfigurationError(
                     f"certificate at tau={tau} tested another state")
-            certified.append((cert.h, cert.lhs, cert.rhs, cert.halvings))
         h = h_base
         if u_input is not None:
             u = float(u_input(tau))
@@ -563,15 +610,41 @@ def advance(
         if not reused:
             x_next = (scheme(x, h) if callable(scheme)
                       else x + h * rk_increment(scheme, field, x, h))
+            if x_next.shape != x.shape:
+                raise ConfigurationError(
+                    f"step at tau={tau} gave a state of shape "
+                    f"{x_next.shape}, not {x.shape}")
         x = x_next
         tau = tau + h
-        taus.append(tau)
-        states.append(x.copy())
-        steps.append(h)
+        if n + 1 == rows:  # column by column, each old one freed at once
+            taus = _doubled(taus, rows)
+            states = _doubled(states, rows)
+            steps = _doubled(steps, rows)
+            for i in range(len(certs)):
+                certs[i] = _doubled(certs[i], rows)
+            rows *= 2
+        if cert is not None:
+            if not n:
+                certs = [np.empty(rows), np.empty(rows), np.empty(rows),
+                         np.empty(rows, dtype=int)]
+            certs[0][n] = cert.h
+            certs[1][n] = cert.lhs
+            certs[2][n] = cert.rhs
+            certs[3][n] = cert.halvings
+        steps[n] = h
+        n += 1
+        taus[n] = tau
+        states[n] = x
 
-    columns = map(np.array, zip(*certified)) if certified else [None] * 4
-    return HybridTrajectory(np.array(taus), np.array(states), np.array(steps),
-                            *columns, stop_reason=stop_reason)
+    # copied out at their length: a run's trajectory keeps no unused rows,
+    # and its buffers go back to the allocator whole, for the next run
+    taus = taus[:n + 1].copy()
+    states = states[:n + 1].copy()
+    steps = steps[:n].copy()
+    for i in range(len(certs)):
+        certs[i] = certs[i][:n].copy()
+    return HybridTrajectory(taus, states, steps, *(certs or [None] * 4),
+                            stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------

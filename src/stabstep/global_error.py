@@ -161,35 +161,12 @@ def defect_orders(field: VectorField, x: Array) -> list[tuple]:
     return out
 
 
-_PIECE = 1 << 15
+# steps per piece: at 2**14 the buffers, 512 KB, are reused without page
+# faults from one sequence to the next; at 2**15 they were not
+_PIECE = 1 << 14
 _MAX_BLOCK_DRAWS = 1 << 31
 # bit generators whose `advance(n)` moves past exactly n doubles
 _SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
-
-
-def _skip_doubles(rng: np.random.Generator, count: int, buf: Array) -> None:
-    """Leave `rng` as drawing `count` doubles would, without drawing them.
-
-    PCG64 and PCG64DXSM take one state step per double, so `advance` skips
-    them, unless half of a 32-bit draw is still buffered (`has_uint32`),
-    which `advance` would drop.  `advance` also zeroes the spent half-word
-    `uinteger`; it is put back so the state compares equal.  Any other
-    generator draws the doubles into `buf` and discards them.
-    """
-    bitgen = rng.bit_generator
-    if type(bitgen) in _SKIPPABLE:
-        state = bitgen.state
-        if not state["has_uint32"]:
-            bitgen.advance(count)
-            if state["uinteger"]:
-                spent = state["uinteger"]
-                state = bitgen.state
-                state["uinteger"] = spent
-                bitgen.state = state
-            return
-    while count > 0:
-        rng.random(out=buf[:min(count, buf.size)])
-        count -= buf.size
 
 
 def _compliant_blocks(
@@ -200,7 +177,7 @@ def _compliant_blocks(
 ) -> Iterator[tuple[Array, Array]]:
     """The steps of `compliant_steps` with their clock, in pieces.
 
-    Yields pairs (steps, neg_tau) of at most 2**15 consecutive steps and
+    Yields pairs (steps, neg_tau) of at most 2**14 consecutive steps and
     the negated exact clock after each, -tau[i+1] with
     tau[i+1] = tau[i] + h[i] chained from tau[0] = 0 over the whole
     sequence.  Both are views into buffers this generator reuses, valid
@@ -210,7 +187,14 @@ def _compliant_blocks(
     the steps up to the block's end, about two thirds of them.  Here only
     those are drawn, in chunks sized at the expected kept count; the chained
     sums carry across chunks exactly, because numpy accumulates
-    sequentially.  The rest of the n are skipped (see `_skip_doubles`).
+    sequentially.  The rest of the n are skipped: PCG64 and PCG64DXSM take
+    one state step per double, so `bit_generator.advance` skips them,
+    unless half of a 32-bit draw is still buffered (`has_uint32`), which
+    `advance` would drop.  Doubles never touch that buffer, so the state is
+    read once, when the generator starts.  `advance` also zeroes the spent
+    half-word `uinteger`, which is put back once, when the generator
+    finishes or is closed.  Any other generator draws the unused doubles
+    and discards them.
     Consumed to the end, with nothing else drawing from `rng` meanwhile,
     the steps and the generator's state are bit for bit those of drawing
     `bound * rng.uniform(0.5, 1.0, n)` per block.  One complex cumsum runs
@@ -224,57 +208,72 @@ def _compliant_blocks(
         raise ConfigurationError(
             f"compliant steps need a horizon 0 < t_end < inf, got {t_end}"
         )
-    steps = np.empty(_PIECE)
-    sums = np.empty(_PIECE, dtype=complex)
-    neg_tau = np.empty(_PIECE)
-    tau = 0.0       # start of the block, on the rule's clock
-    clock = 0.0     # the exact clock, negated
-    while tau < t_end:
-        bound = error_budget_step(budget, tau, phi_cap)
-        if not bound > 0.0:
-            raise ConfigurationError(
-                f"error-budget step at tau={tau!r} is {bound!r}; "
-                "compliant steps need a positive step"
-            )
-        block_end = min(tau + 0.05, t_end)
-        half = 0.5 * bound
-        per_half = (block_end - tau) / half if half > 0.0 else math.inf
-        if per_half > _MAX_BLOCK_DRAWS - 1:
-            raise ConfigurationError(
-                f"error-budget step {bound!r} at tau={tau!r} needs more than "
-                "2**31 draws for one block"
-            )
-        n_est = max(1, int(math.ceil(per_half)) + 1)
-        # rule time reached: tau plus the block's partial sum
-        drawn, partial, reached = 0, 0.0, tau
-        while True:
-            m = min(_PIECE, n_est - drawn,
-                    int((block_end - reached) / (0.75 * bound) * 1.01) + 16)
-            d, z = steps[:m], sums[:m]
-            rng.random(out=d)
-            d *= 0.5
-            d += 0.5
-            d *= bound          # bound * uniform(0.5, 1.0), bit for bit
-            z.real = d
-            np.negative(d, out=z.imag)
-            z[0] += complex(partial, clock)
-            z.cumsum(out=z)
-            drawn += m
-            reached = tau + float(z.real[-1])
-            if reached < block_end and drawn < n_est:
-                partial, clock = float(z.real[-1]), float(z.imag[-1])
-                np.copyto(neg_tau[:m], z.imag)
-                yield d, neg_tau[:m]
-                continue
-            times = np.add(z.real, tau, out=neg_tau[:m])
-            keep = min(int(times.searchsorted(block_end)) + 1, m)
-            reached = float(times[keep - 1])
-            clock = float(z.imag[keep - 1])
-            np.copyto(neg_tau[:keep], z.imag[:keep])
-            _skip_doubles(rng, n_est - drawn, sums.view(float))
-            yield d[:keep], neg_tau[:keep]
-            break
-        tau = reached
+    bitgen = rng.bit_generator
+    state = bitgen.state if type(bitgen) in _SKIPPABLE else None
+    skip = state is not None and not state["has_uint32"]
+    try:
+        steps = np.empty(_PIECE)
+        sums = np.empty(_PIECE, dtype=complex)
+        neg_tau = np.empty(_PIECE)
+        tau = 0.0       # start of the block, on the rule's clock
+        clock = 0.0     # the exact clock, negated
+        while tau < t_end:
+            bound = error_budget_step(budget, tau, phi_cap)
+            if not bound > 0.0:
+                raise ConfigurationError(
+                    f"error-budget step at tau={tau!r} is {bound!r}; "
+                    "compliant steps need a positive step"
+                )
+            block_end = min(tau + 0.05, t_end)
+            half = 0.5 * bound
+            per_half = (block_end - tau) / half if half > 0.0 else math.inf
+            if per_half > _MAX_BLOCK_DRAWS - 1:
+                raise ConfigurationError(
+                    f"error-budget step {bound!r} at tau={tau!r} needs "
+                    "more than 2**31 draws for one block"
+                )
+            n_est = max(1, int(math.ceil(per_half)) + 1)
+            # rule time reached: tau plus the block's partial sum
+            drawn, partial, reached = 0, 0.0, tau
+            while True:
+                expected = (block_end - reached) / (0.75 * bound)
+                m = min(_PIECE, n_est - drawn, int(expected * 1.01) + 16)
+                d, z = steps[:m], sums[:m]
+                rng.random(out=d)
+                d *= 0.5
+                d += 0.5
+                d *= bound          # bound * uniform(0.5, 1.0), bit for bit
+                z.real = d
+                np.negative(d, out=z.imag)
+                z[0] += complex(partial, clock)
+                z.cumsum(out=z)
+                drawn += m
+                reached = tau + float(z.real[-1])
+                if reached < block_end and drawn < n_est:
+                    partial, clock = float(z.real[-1]), float(z.imag[-1])
+                    np.copyto(neg_tau[:m], z.imag)
+                    yield d, neg_tau[:m]
+                    continue
+                times = np.add(z.real, tau, out=neg_tau[:m])
+                keep = min(int(times.searchsorted(block_end)) + 1, m)
+                reached = float(times[keep - 1])
+                clock = float(z.imag[keep - 1])
+                np.copyto(neg_tau[:keep], z.imag[:keep])
+                unused = n_est - drawn
+                if skip:
+                    bitgen.advance(unused)
+                else:
+                    buf = sums.view(float)
+                    for lo in range(0, unused, buf.size):
+                        rng.random(out=buf[:min(unused - lo, buf.size)])
+                yield d[:keep], neg_tau[:keep]
+                break
+            tau = reached
+    finally:
+        if skip and state["uinteger"]:
+            spent, state = state["uinteger"], bitgen.state
+            state["uinteger"] = spent
+            bitgen.state = state
 
 
 def compliant_steps(

@@ -23,6 +23,7 @@ from .core import (
     Array,
     ConfigurationError,
     HybridTrajectory,
+    _chunked,
     _node_rows,
     advance,
     write_csv,
@@ -286,8 +287,11 @@ def write_chain_csv(run: HybridTrajectory, path) -> None:
 
 def write_grid_csv(run: HybridTrajectory, path) -> None:
     """Space-time table tau,z_index,value (long form, one node per row)."""
-    n = run.dim
-    write_csv(path, ("tau", "z_index", "value"),
-              zip(np.repeat(run.tau, n).tolist(),
-                  np.tile(np.arange(1, n + 1), run.tau.size).tolist(),
-                  run.states.ravel().tolist()))
+    n, tau, values = run.dim, run.tau, run.states.reshape(-1)
+
+    def rows(part):
+        row = np.arange(part.start, min(part.stop, values.size))
+        return zip(tau[row // n].tolist(), (row % n + 1).tolist(),
+                   values[part].tolist())
+
+    write_csv(path, ("tau", "z_index", "value"), _chunked(values.size, rows))

@@ -19,10 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 from stabstep.acceptance import (
     AcceptanceTolerances,
     CRITERIA,
+    _constant_pieces,
     _euler_decay_errors,
     run_criterion,
 )
-from stabstep.global_error import ErrorBudget, _compliant_blocks
+from stabstep.global_error import _PIECE, ErrorBudget, _compliant_blocks
 
 NUMBERS = sorted(num for num, _, _ in CRITERIA)
 
@@ -104,9 +105,21 @@ def test_streamed_decay_errors_keep_a_nan():
     assert np.isnan(_euler_decay_errors(_pieces(steps, [20_000])))
 
 
+@pytest.mark.parametrize("count", [1, _PIECE, 2 * _PIECE + 1])
+def test_constant_pieces_join_to_the_whole_sequence(count):
+    h = 1e-3  # not a binary fraction, so the clock rounds
+    steps = np.full(count, h)
+    pieces = [(s.copy(), t.copy()) for s, t in _constant_pieces(h, count)]
+    assert np.concatenate([s for s, _ in pieces]).tobytes() == steps.tobytes()
+    assert (np.concatenate([t for _, t in pieces]).tobytes()
+            == (-np.cumsum(steps)).tobytes())
+    assert (_euler_decay_errors(_constant_pieces(h, count)).hex()
+            == _whole_array_reference(steps).hex())
+
+
 def test_budget_sequence_streams_in_bounded_memory():
     """One full-length criterion 10 sequence (about 2.7 million steps, 22 MB
-    as one float64 array) is evaluated in fixed buffers of about 1.6 MB."""
+    as one float64 array) is evaluated in fixed buffers of 640 KB."""
     tol = AcceptanceTolerances()
     budget = ErrorBudget(
         epsilon=tol.budget_epsilon, sigma=1.0, lam=0.5,
@@ -120,4 +133,4 @@ def test_budget_sequence_streams_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"

@@ -404,6 +404,31 @@ class TestAdvance:
         assert traj.steps.size == 4
         assert (traj.h, traj.lhs, traj.rhs, traj.halvings) == (None,) * 4
 
+    @pytest.mark.parametrize("max_steps", [-3, 2.5, math.nan])
+    def test_max_steps_must_be_a_nonnegative_integer(self, max_steps):
+        # once answered with 0 steps, 3 steps and a run to t_end
+        with pytest.raises(ConfigurationError, match="max_steps"):
+            advance(EULER, scalar_decay(), ConstantController(0.5),
+                    np.array([1.0]), t_end=2.0, max_steps=max_steps)
+
+    @pytest.mark.parametrize("x0", [1.0, [[1.0]], np.eye(2)])
+    def test_x0_must_be_a_state_vector(self, x0):
+        # a (1, 1) x0 would broadcast into a record row without an error
+        with pytest.raises(ConfigurationError, match="x0"):
+            advance(EULER, scalar_decay(), ConstantController(0.5), x0,
+                    t_end=1.0)
+
+    def test_non_finite_x0_raises(self):
+        with pytest.raises(FloatingPointError, match="tau=0.0"):
+            advance(EULER, scalar_decay(), ConstantController(0.5),
+                    np.array([math.inf]), t_end=1.0)
+
+    def test_a_step_to_another_shape_is_refused(self):
+        # a (1,) state would broadcast into the record's row of 2
+        with pytest.raises(ConfigurationError, match=r"shape \(1,\)"):
+            advance(lambda x, h: x[:1], None, ConstantController(0.5),
+                    np.array([1.0, 2.0]), t_end=1.0)
+
     def test_overflow_raises(self):
         # x' = 1e3 x^2 from x0 = 1 overflows within a few unit Euler steps
         f = VectorField(dim=1, f=lambda x: 1e3 * x * x)

@@ -297,7 +297,7 @@ def _plain(state):
 # one block of about 149,000 kept steps
 @example(seed=1, log_step=-6.35, sigma=1.0, lam=0.5, phi_cap=1.0,
          t_end=0.05, generator="mt19937")
-# a first block of just over 2**15 kept steps, overrunning its first chunk
+# a first block of just over 2**15 kept steps, overrunning its first chunks
 @example(seed=2, log_step=-5.7, sigma=0.5, lam=0.5, phi_cap=1.0,
          t_end=0.15, generator="pcg64")
 # a tail of one-step blocks once the rule reaches phi_cap
@@ -321,9 +321,42 @@ def test_blocks_match_the_full_draw_reference(seed, log_step, sigma, lam,
               for s, t in _compliant_blocks(budget, phi_cap, t_end, rng)]
     joined = np.concatenate([s for s, _ in pieces])
     clock = -np.concatenate([t for _, t in pieces])
-    assert all(s.size <= 2**15 for s, _ in pieces)
+    assert all(s.size <= 2**14 for s, _ in pieces)
     assert joined.tobytes() == expected.tobytes()
     assert clock.tobytes() == np.cumsum(joined).tobytes()
+    assert _plain(rng.bit_generator.state) \
+        == _plain(rng_ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("generator", ["pcg64", "pcg64-buffered",
+                                       "pcg64-spent"])
+def test_generator_state_is_read_once_and_restored_once(generator):
+    """The state is read when the pieces start and its spent half-word put
+    back when they end, so the generator ends as full drawing leaves it:
+    consumed to the end, and closed after its first block."""
+    budget = unit_budget(epsilon=0.01)
+    state = GENERATORS[generator](8).bit_generator.state
+    assert (state["has_uint32"], bool(state["uinteger"])) == {
+        "pcg64": (0, False), "pcg64-buffered": (1, True),
+        "pcg64-spent": (0, True)}[generator]
+
+    rng_ref, rng = GENERATORS[generator](8), GENERATORS[generator](8)
+    expected = np.concatenate(list(_reference_blocks(budget, 1.0, 0.5,
+                                                     rng_ref)))
+    joined = np.concatenate([s.copy() for s, _ in _compliant_blocks(
+        budget, 1.0, 0.5, rng)])
+    assert joined.tobytes() == expected.tobytes()
+    assert _plain(rng.bit_generator.state) \
+        == _plain(rng_ref.bit_generator.state)
+
+    rng_ref, rng = GENERATORS[generator](8), GENERATORS[generator](8)
+    first = next(_reference_blocks(budget, 1.0, 0.5, rng_ref))
+    blocks = _compliant_blocks(budget, 1.0, 0.5, rng)
+    pieces = []
+    while sum(p.size for p in pieces) < first.size:
+        pieces.append(next(blocks)[0].copy())
+    assert np.concatenate(pieces).tobytes() == first.tobytes()
+    blocks.close()
     assert _plain(rng.bit_generator.state) \
         == _plain(rng_ref.bit_generator.state)
 
