@@ -5,6 +5,13 @@ interpolation between grid points plus a discrete update of the step size.
 Step bounds are chosen so that a Lyapunov function for the flow also
 certifies the numerical trajectory, and every certificate can be re-checked
 after the fact from the recorded data.
+
+The names below are the certified-stepping library.  The paper's worked
+experiments stay in their modules: the example systems, the stiff pair, the
+sweeps and the QP flow in `stabstep.applications`, the randomized trials
+and the per-experiment writers in `stabstep.smallgain` and
+`stabstep.global_error`, the `stabstep run` catalog in `stabstep.cli` and
+the acceptance suite in `stabstep.acceptance`.
 """
 
 from .core import (
@@ -35,7 +42,6 @@ from .lyapunov import (
     DecreaseCertificate,
     EulerQController,
     HalvingController,
-    LinearQuadraticController,
     LyapunovFunction,
     certify_trajectory,
     decrease_test,
@@ -44,55 +50,16 @@ from .lyapunov import (
     linear_phi,
     quadratic_lyapunov,
 )
-from .implicit import implicit_euler_step
-from .smallgain import (
-    CascadeSystem,
-    IssCheckResult,
-    advance_chain,
-    advection_chain,
-    chain_decay_trials,
-    iss_estimate_check,
-    partitioned_step,
-    sigma_constant,
-    write_chain_csv,
-    write_grid_csv,
-)
+from .smallgain import CascadeSystem, partitioned_step, sigma_constant
 from .global_error import (
     ErrorBudget,
     ErrorReport,
-    compliant_steps,
     defect,
-    defect_orders,
     error_bound,
     error_bound_finite_time,
     error_budget_step,
     error_report,
     order_reduction_exponent,
-)
-from .applications import (
-    ExampleSystem,
-    NlpFlow,
-    NlpResult,
-    STIFF_A,
-    STIFF_P,
-    SWEEP_TABLEAUS,
-    boundary_sweep,
-    euler_f2_limit_radius,
-    example_fields,
-    max_decrease_step,
-    nlp_flow,
-    nlp_solve,
-    stiff_experiment,
-    stiff_phi,
-    write_steps_csv,
-    write_sweep_csv,
-)
-from .acceptance import (
-    AcceptanceTolerances,
-    CRITERIA,
-    CriterionResult,
-    run_all,
-    run_criterion,
 )
 
 __version__ = "0.1.0"
@@ -106,25 +73,13 @@ __all__ = [
     "reference_solve", "rk_increment", "write_csv", "write_trajectory_csv",
     # lyapunov
     "CertificationReport", "DecreaseCertificate", "EulerQController",
-    "HalvingController", "LinearQuadraticController", "LyapunovFunction",
-    "certify_trajectory", "decrease_test", "euler_q_phi", "halving_controller",
-    "linear_phi", "quadratic_lyapunov",
-    # implicit
-    "implicit_euler_step",
+    "HalvingController", "LyapunovFunction", "certify_trajectory",
+    "decrease_test", "euler_q_phi", "halving_controller", "linear_phi",
+    "quadratic_lyapunov",
     # smallgain
-    "CascadeSystem", "IssCheckResult", "advance_chain", "advection_chain",
-    "chain_decay_trials", "iss_estimate_check", "partitioned_step",
-    "sigma_constant", "write_chain_csv", "write_grid_csv",
+    "CascadeSystem", "partitioned_step", "sigma_constant",
     # global_error
-    "ErrorBudget", "ErrorReport", "compliant_steps", "defect", "defect_orders",
-    "error_bound", "error_bound_finite_time", "error_budget_step",
-    "error_report", "order_reduction_exponent",
-    # applications
-    "ExampleSystem", "NlpFlow", "NlpResult", "STIFF_A", "STIFF_P",
-    "SWEEP_TABLEAUS", "boundary_sweep", "euler_f2_limit_radius",
-    "example_fields", "max_decrease_step", "nlp_flow", "nlp_solve",
-    "stiff_experiment", "stiff_phi", "write_steps_csv", "write_sweep_csv",
-    # acceptance
-    "AcceptanceTolerances", "CRITERIA", "CriterionResult", "run_all",
-    "run_criterion",
+    "ErrorBudget", "ErrorReport", "defect", "error_bound",
+    "error_bound_finite_time", "error_budget_step", "error_report",
+    "order_reduction_exponent",
 ]

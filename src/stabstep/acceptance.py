@@ -1,11 +1,15 @@
 """Executable acceptance criteria.
 
-Each criterion is a self-contained check with pinned tolerances, runnable
-through `run_criterion` (used by the test suite and the benchmark) or
-`run_all` (used by the CLI `verify` command).  The pinned numbers live in
+Each criterion is a check with pinned tolerances, runnable through
+`run_criterion` (used by the test suite and the benchmark) or `run_all`
+(used by the CLI `verify` command).  The pinned numbers live in
 `AcceptanceTolerances`; no command-line input or config file changes them.
 Results carry a human-readable detail string so a failure names the
 measured quantity, not just a boolean.
+A criterion that judges a `stabstep run` experiment takes that run from
+`cli.experiment`, at the criterion's seed, and writes nothing: criteria 1
+and 2 read stiff-6.14, 3 the constant-step runs, 4 boundary-4.27, 9
+nlp-qp and 11 defect-orders.  The others step systems of their own.
 """
 
 from __future__ import annotations
@@ -18,36 +22,18 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .core import (
-    ConstantController,
-    EULER,
-    HEUN,
-    IMPLICIT_EULER,
-    KUTTA3,
-    advance,
-    linear_field,
-)
-from .lyapunov import (
-    HalvingController,
-    certify_trajectory,
-    decrease_test,
-    euler_q_phi,
-    halving_controller,
-    linear_phi,
-    quadratic_lyapunov,
-)
+from . import cli
+from .core import (ConstantController, EULER, HEUN, KUTTA3, advance,
+                   linear_field)
+from .lyapunov import (HalvingController, certify_trajectory, decrease_test,
+                       euler_q_phi, halving_controller, linear_phi,
+                       quadratic_lyapunov)
 from .implicit import implicit_euler_step
 from .smallgain import chain_decay_trials, iss_estimate_check
 from .global_error import (_PIECE, ErrorBudget, _compliant_blocks,
-                           defect_orders, order_reduction_exponent)
-from .applications import (
-    boundary_sweep,
-    example_fields,
-    max_decrease_step,
-    nlp_flow,
-    nlp_solve,
-    stiff_experiment,
-)
+                           order_reduction_exponent)
+from .applications import (example_fields, max_decrease_step, nlp_flow,
+                           nlp_solve)
 
 
 @dataclass(frozen=True)
@@ -63,9 +49,7 @@ class AcceptanceTolerances:
     radius_target: float = 0.317837
     radius_atol: float = 1e-4
     decay_target: float = 1e-6
-    decay_steps: int = 10000
     implicit_target: float = 1e-8
-    implicit_steps: int = 2000
     boundary_target: float = 0.5
     boundary_atol: float = 1e-6
     astab_systems: int = 20
@@ -100,18 +84,20 @@ class CriterionResult:
                 f"[{self.seconds:.2f}s] {self.detail}")
 
 
-CheckFn = Callable[[AcceptanceTolerances, np.random.Generator],
+# a check takes the tolerances, its random stream and its catalog runs' seed
+CheckFn = Callable[[AcceptanceTolerances, np.random.Generator, int],
                    tuple[bool, str]]
 
 _STIFF_TARGETS = ((0.6, 12.71372), (0.9, 3.798454))
 
 
-def _check_stiff_reproduction(tol, rng):
+def _check_stiff_reproduction(tol, rng, seed):
     notes = []
     ok = True
     for lam, expect in _STIFF_TARGETS:
         t0 = time.perf_counter()
-        t_final = stiff_experiment(lam, 1.0, (1.0, 1.1), 500).final_time
+        t_final = cli.experiment("stiff-6.14", {"lambda": lam},
+                                 seed).value.final_time
         dt = time.perf_counter() - t0
         rel = abs(t_final - expect) / expect
         good = rel <= tol.stiff_rel_tol and dt < tol.stiff_runtime_s
@@ -121,8 +107,8 @@ def _check_stiff_reproduction(tol, rng):
     return ok, "; ".join(notes)
 
 
-def _check_step_pattern(tol, rng):
-    traj = stiff_experiment(0.6, 1.0, (1.0, 1.1), 500)
+def _check_step_pattern(tol, rng, seed):
+    traj = cli.experiment("stiff-6.14", seed=seed).value
     big = int(np.sum(traj.steps >= tol.big_step))
     small = int(np.sum(traj.steps <= tol.small_step))
     ok = big >= tol.min_big_steps and small >= tol.min_small_steps
@@ -131,64 +117,48 @@ def _check_step_pattern(tol, rng):
                 f"(need {tol.min_small_steps})")
 
 
-def _check_limit_cycle(tol, rng):
-    systems = example_fields()
-    x0 = np.array([1.0, 0.0])
+def _check_limit_cycle(tol, rng, seed):
+    """The constant-step runs from (1, 0); each value is |x| per node."""
     notes = []
-
-    traj = advance(EULER, systems["f2"].field, ConstantController(0.2),
-                   x0, math.inf, max_steps=2 * tol.decay_steps)
-    norms = np.linalg.norm(traj.states, axis=1)
-    band = norms[tol.decay_steps: 2 * tol.decay_steps + 1]
-    dev = float(np.max(np.abs(band - tol.radius_target)))
+    norms = cli.experiment("f2-euler", seed=seed).value
+    dev = float(np.max(np.abs(norms[norms.size // 2:] - tol.radius_target)))
     ok_radius = dev <= tol.radius_atol
     notes.append(f"f2 Euler radius dev {dev:.2e} (tol {tol.radius_atol})")
 
     ok_decay = True
     for key in ("f1", "f3"):
-        traj = advance(EULER, systems[key].field, ConstantController(0.2),
-                       x0, math.inf, max_steps=tol.decay_steps)
-        best = float(np.min(np.linalg.norm(traj.states, axis=1)))
+        run = cli.experiment(f"{key}-euler", seed=seed)
+        best = float(np.min(run.value))
         good = best < tol.decay_target
         ok_decay = ok_decay and good
         notes.append(f"{key} Euler min|x| {best:.3e} within "
-                     f"{tol.decay_steps} steps "
+                     f"{run.params['steps']} steps "
                      f"({'<' if good else 'NOT <'} {tol.decay_target})")
 
-    def below(x):
-        return float(np.linalg.norm(x)) < tol.implicit_target
-
-    traj = advance(IMPLICIT_EULER, systems["f2"].field,
-                   ConstantController(0.2), x0, math.inf,
-                   max_steps=tol.implicit_steps, stop=below)
-    hit = traj.steps.size if traj.stop_reason == "stop" else None
-    ok_impl = hit is not None
-    notes.append(f"f2 implicit |x| < {tol.implicit_target} at step {hit}"
+    run = cli.experiment("f2-implicit", seed=seed)
+    hits = np.flatnonzero(run.value < tol.implicit_target)
+    ok_impl = hits.size > 0
+    notes.append(f"f2 implicit |x| < {tol.implicit_target} at step {hits[0]}"
                  if ok_impl else
                  f"f2 implicit never below {tol.implicit_target} "
-                 f"in {tol.implicit_steps} steps")
+                 f"in {run.params['steps']} steps")
 
     return ok_radius and ok_decay and ok_impl, "; ".join(notes)
 
 
-def _check_boundary_step(tol, rng):
-    systems = example_fields()
-    sys427 = systems["sys427"]
+def _check_boundary_step(tol, rng, seed):
+    sys427 = example_fields()["sys427"]
     h_star = max_decrease_step(sys427.lyap, EULER, sys427.field,
                                np.array([0.0, 1.0]), 0.5,
                                tol=tol.boundary_atol / 4.0)
     err = abs(h_star - tol.boundary_target)
     ok_point = err <= tol.boundary_atol
-    sweep = boundary_sweep(lam=0.5)
-    ok_sweep = True
-    mins = []
-    for name, vals in sweep.items():
-        if name == "x1":
-            continue
-        finite = bool(np.all(np.isfinite(vals)))
-        positive = bool(np.all(vals > 0.0))
-        ok_sweep = ok_sweep and finite and positive
-        mins.append(f"{name} min {float(np.min(vals)):.3g}")
+    sweep = cli.experiment("boundary-4.27", seed=seed).value
+    curves = {name: vals for name, vals in sweep.items() if name != "x1"}
+    ok_sweep = all(bool(np.all(np.isfinite(vals) & (vals > 0.0)))
+                   for vals in curves.values())
+    mins = [f"{name} min {float(np.min(vals)):.3g}"
+            for name, vals in curves.items()]
     return ok_point and ok_sweep, (
         f"max step at (0,1) = {h_star:.8f} (err {err:.1e}); sweep "
         + ", ".join(mins)
@@ -206,7 +176,7 @@ def _random_hurwitz(rng, dim):
     return a, solve_continuous_lyapunov(a.T, -q)
 
 
-def _check_a_stability(tol, rng):
+def _check_a_stability(tol, rng, seed):
     worst = math.inf
     for trial in range(tol.astab_systems):
         dim = 2 if trial % 2 == 0 else 4
@@ -230,7 +200,7 @@ def _check_a_stability(tol, rng):
                   f"decreasing; worst relative drop {worst:.2e}")
 
 
-def _check_smallgain(tol, rng):
+def _check_smallgain(tol, rng, seed):
     fails, worst_steps = chain_decay_trials(
         rng, tol.smallgain_runs, tol.smallgain_step_cap, tol.smallgain_target
     )
@@ -264,7 +234,7 @@ def _check_smallgain(tol, rng):
                 f"(printed variant failed {printed_bad})")
 
 
-def _check_halving_soundness(tol, rng):
+def _check_halving_soundness(tol, rng, seed):
     systems = example_fields()
     keys = ("f1", "f3", "sys427")
     doubled_checked = 0
@@ -301,7 +271,7 @@ def _check_halving_soundness(tol, rng):
                   f"controller trajectories re-certified")
 
 
-def _check_agreement(tol, rng):
+def _check_agreement(tol, rng, seed):
     dims = (2, 2, 3, 3, 4)
     worst = 0.0
     for trial in range(tol.agreement_systems):
@@ -323,12 +293,10 @@ def _check_agreement(tol, rng):
                   f"spread {worst:.1e}")
 
 
-def _check_nlp_convergence(tol, rng):
+def _check_nlp_convergence(tol, rng, seed):
     notes = []
-    flow = nlp_flow(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
-                    np.array([1.0]))
     target = np.array([0.5, 0.5, -0.5])
-    res = nlp_solve(flow, np.zeros(3), lam=0.5, r=1.0, tol=1e-7)
+    res = cli.experiment("nlp-qp", seed=seed).value
     dist = float(np.linalg.norm(res.w - target))
     v_mono = bool(np.all(np.diff(res.v_history) < 0))
     ok = dist <= tol.nlp_atol and v_mono and res.certified
@@ -424,7 +392,7 @@ def _constant_pieces(h: float, count: int):
         yield steps[:t.size], t
 
 
-def _check_error_budget(tol, rng):
+def _check_error_budget(tol, rng, seed):
     budget = ErrorBudget(
         epsilon=tol.budget_epsilon, sigma=1.0, lam=0.5,
         a_gain=lambda s: s, l_of_x0=1.0, k_of_x0=0.5, p=1, x0_norm=1.0,
@@ -454,11 +422,10 @@ def _check_error_budget(tol, rng):
     )
 
 
-def _check_consistency_orders(tol, rng):
-    sys427 = example_fields()["sys427"]
+def _check_consistency_orders(tol, rng, seed):
     ok = True
     notes = []
-    for tab, _, _, slope in defect_orders(sys427.field, np.array([1.2, 0.8])):
+    for tab, _, _, slope in cli.experiment("defect-orders", seed=seed).value:
         good = slope >= tab.order - tol.slope_margin
         ok = ok and good
         notes.append(f"{tab.name} slope {slope:.2f} (order {tab.order})")
@@ -490,7 +457,7 @@ def run_criterion(
         if num == number:
             rng = np.random.default_rng(np.random.SeedSequence([seed, num]))
             t0 = time.perf_counter()
-            passed, detail = fn(tolerances, rng)
+            passed, detail = fn(tolerances, rng, seed)
             return CriterionResult(num, name, passed, detail,
                                    time.perf_counter() - t0)
     raise KeyError(f"no criterion numbered {number}")
@@ -501,12 +468,7 @@ def run_all(
     seed: int = 20240501,
 ) -> list[CriterionResult]:
     """Run every criterion whose number or name matches the filter."""
-    results = []
-    for num, name, _ in CRITERIA:
-        if name_filter is not None:
-            probe = name_filter.strip().lower()
-            if probe not in name.lower() and probe != str(num):
-                continue
-        results.append(run_criterion(num, seed=seed))
-    return results
+    probe = None if name_filter is None else name_filter.strip().lower()
+    return [run_criterion(num, seed=seed) for num, name, _ in CRITERIA
+            if probe is None or probe in name.lower() or probe == str(num)]
 

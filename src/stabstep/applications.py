@@ -207,10 +207,16 @@ def max_decrease_step(
 
     The search starts from the step `halving_controller` accepts from
     h = 1/64.  Returns the lower bisection endpoint (always an accepted
-    step) once the bracket is narrower than tol; 0.0 if no positive step
-    down to 2^-46 is accepted, 1e6 if none up to 1e6 is rejected.
+    step) once the bracket is narrower than tol, or can shrink no further
+    in floating point; 0.0 if no positive step down to 2^-46 is accepted,
+    1e6 if none up to 1e6 is rejected.  A tol that is not positive and a
+    state that is not finite raise ConfigurationError.
     """
+    if not tol > 0:
+        raise ConfigurationError(f"tol must be positive, got {tol!r}")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ConfigurationError("x must be finite")
     terms = state_terms(lyap, field, x)
 
     def ok(h: float) -> bool:
@@ -230,6 +236,8 @@ def max_decrease_step(
     hi = lo * 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if ok(mid):
             lo = mid
         else:
@@ -244,7 +252,11 @@ def boundary_sweep(
 ) -> dict[str, Array]:
     """Maximum accepted step along x = (x1, 1), x1 in [-5, 5], for the four
     one-step schemes on the quadratically twisted system; returns
-    {'x1': grid, name: curve}."""
+    {'x1': grid, name: curve}.  An n_points below 1 raises
+    ConfigurationError."""
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 1):
+        raise ConfigurationError(
+            f"n_points must be a positive integer, got {n_points!r}")
     systems = example_fields()
     sys427 = systems["sys427"]
     grid = np.linspace(-5.0, 5.0, n_points)
@@ -383,12 +395,15 @@ def nlp_solve(
     (none when w0 has already converged), and V is evaluated
     once per node.  A rejected step (possible only through rounding
     or an understated hess_norm) falls back to halving and clears
-    `certified`.  The run stops when |field(w)| < tol; a non-finite iterate
-    raises FloatingPointError, and 200000 steps without convergence raise
+    `certified`.  The run stops when |field(w)| < tol; a tol that is not
+    positive raises ConfigurationError, a non-finite iterate
+    FloatingPointError, and 200000 steps without convergence
     ControllerError.
     """
     check_lam(lam)
     check_cap(r)
+    if not tol > 0:
+        raise ConfigurationError(f"tol must be positive, got {tol!r}")
     p = flow.hess_norm
     if not p > 0:
         raise ConfigurationError("Hessian bound must be positive")

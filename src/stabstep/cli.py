@@ -14,6 +14,9 @@ none behind.
 Each experiment draws from its own stream of the seed, so a shell loop of
 `run` calls writes what each call writes alone.  No flag sets a `verify`
 tolerance: they are the pinned `acceptance.AcceptanceTolerances`.
+`experiment` computes a catalog run without writing; `run` writes and
+prints its result, and `verify` criteria judge it.  `acceptance` imports
+this catalog, so this module imports `acceptance` only inside `verify`.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import acceptance
 from .core import (
     ConstantController,
     EULER,
@@ -61,7 +64,7 @@ from .applications import (
     write_sweep_csv,
 )
 
-Runner = Callable[[dict, Path, np.random.Generator], str]
+Runner = Callable[[dict, np.random.Generator], "Result"]
 
 _DEFAULT_SEED = 20240501
 
@@ -74,37 +77,50 @@ class Experiment:
     runner: Runner
 
 
-def _write_standard(traj: HybridTrajectory, out: Path, name: str,
-                    report=None) -> None:
-    write_trajectory_csv(traj, out / f"{name}-trajectory.csv")
-    write_steps_csv(traj, out / f"{name}-steps.csv")
+@dataclass(frozen=True)
+class Result:
+    """One catalog run: its parameters, the value the acceptance criteria
+    judge, the summary line `run` prints, and the CSVs `run` writes as
+    (file name, writer) pairs; a writer takes the file's path."""
+
+    params: dict
+    value: object
+    summary: str
+    files: tuple = ()
+
+
+def _standard_files(traj: HybridTrajectory, name: str, report=None) -> tuple:
+    files = ((f"{name}-trajectory.csv", partial(write_trajectory_csv, traj)),
+             (f"{name}-steps.csv", partial(write_steps_csv, traj)))
     if report is not None:
-        report.to_csv(out / f"{name}-certification.csv")
+        files += ((f"{name}-certification.csv", report.to_csv),)
+    return files
 
 
-def _run_stiff(params, out, rng):
+def _run_stiff(params, rng):
     lam = float(params["lambda"])
-    r = float(params["r"])
-    steps = int(params["steps"])
-    traj = stiff_experiment(lam, r, (1.0, 1.1), steps)
+    traj = stiff_experiment(lam, float(params["r"]), (1.0, 1.1),
+                            int(params["steps"]))
     lyap = quadratic_lyapunov(STIFF_P)
     report = certify_trajectory(lyap, traj, lam, field=linear_field(STIFF_A))
-    _write_standard(traj, out, "stiff-6.14", report)
     big = int(np.sum(traj.steps >= 0.5))
     small = int(np.sum(traj.steps <= 2e-3))
-    return (f"t_final={traj.final_time:.6f} final_norm="
-            f"{float(np.linalg.norm(traj.final_state)):.6e} "
-            f"certified={report.ok} big_steps={big} small_steps={small}")
+    return Result(params, traj, (
+        f"t_final={traj.final_time:.6f} final_norm="
+        f"{float(np.linalg.norm(traj.final_state)):.6e} "
+        f"certified={report.ok} big_steps={big} small_steps={small}"),
+        _standard_files(traj, "stiff-6.14", report))
 
 
-def _constant_run(key: str, tableau, params, out, rng, name: str) -> tuple:
-    system = example_fields()[key]
-    h = float(params["h"])
-    steps = int(params["steps"])
-    traj = advance(tableau, system.field, ConstantController(h),
-                   np.array([1.0, 0.0]), math.inf, max_steps=steps)
-    _write_standard(traj, out, name)
-    return system, traj
+def _constant_run(key: str, tableau, params, name: str, summary) -> Result:
+    """A constant-step run from (1, 0); its value is |x| at every node."""
+    field = example_fields()[key].field
+    traj = advance(tableau, field, ConstantController(float(params["h"])),
+                   np.array([1.0, 0.0]), math.inf,
+                   max_steps=int(params["steps"]))
+    norms = np.linalg.norm(traj.states, axis=1)
+    return Result(params, norms, summary(norms) + " certificate=none",
+                  _standard_files(traj, name))
 
 
 def _first_below(norms, level: float) -> int:
@@ -112,82 +128,70 @@ def _first_below(norms, level: float) -> int:
     return int(below[0]) if below.size else -1
 
 
-def _run_f1_euler(params, out, rng):
-    _, traj = _constant_run("f1", EULER, params, out, rng, "f1-euler")
-    norms = np.linalg.norm(traj.states, axis=1)
-    return (f"final_norm={norms[-1]:.6e} "
-            f"first_below_1e-6={_first_below(norms, 1e-6)} "
-            f"certificate=none")
+def _run_f1_euler(params, rng):
+    return _constant_run("f1", EULER, params, "f1-euler", lambda norms: (
+        f"final_norm={norms[-1]:.6e} "
+        f"first_below_1e-6={_first_below(norms, 1e-6)}"))
 
 
-def _run_f3_euler(params, out, rng):
-    _, traj = _constant_run("f3", EULER, params, out, rng, "f3-euler")
-    norms = np.linalg.norm(traj.states, axis=1)
-    return (f"final_norm={norms[-1]:.6e} min_norm={float(np.min(norms)):.6e} "
-            f"certificate=none")
+def _run_f3_euler(params, rng):
+    return _constant_run("f3", EULER, params, "f3-euler", lambda norms: (
+        f"final_norm={norms[-1]:.6e} min_norm={float(np.min(norms)):.6e}"))
 
 
-def _run_f2_euler(params, out, rng):
-    _, traj = _constant_run("f2", EULER, params, out, rng, "f2-euler")
-    norms = np.linalg.norm(traj.states, axis=1)
-    tail = norms[norms.size // 2:]
-    return (f"limit_radius={float(np.mean(tail)):.6f} "
-            f"radius_spread={float(np.max(tail) - np.min(tail)):.2e} "
-            f"certificate=none")
+def _run_f2_euler(params, rng):
+    def summary(norms):
+        tail = norms[norms.size // 2:]
+        return (f"limit_radius={float(np.mean(tail)):.6f} "
+                f"radius_spread={float(np.max(tail) - np.min(tail)):.2e}")
+    return _constant_run("f2", EULER, params, "f2-euler", summary)
 
 
-def _run_f2_heun(params, out, rng):
-    _, traj = _constant_run("f2", HEUN, params, out, rng, "f2-heun")
-    norms = np.linalg.norm(traj.states, axis=1)
-    tail = norms[norms.size // 2:]
-    return (f"liminf_norm={float(np.min(tail)):.6f} "
-            f"final_norm={norms[-1]:.6f} certificate=none")
+def _run_f2_heun(params, rng):
+    return _constant_run("f2", HEUN, params, "f2-heun", lambda norms: (
+        f"liminf_norm={float(np.min(norms[norms.size // 2:])):.6f} "
+        f"final_norm={norms[-1]:.6f}"))
 
 
-def _run_f2_implicit(params, out, rng):
-    _, traj = _constant_run("f2", IMPLICIT_EULER, params, out, rng,
-                            "f2-implicit")
-    norms = np.linalg.norm(traj.states, axis=1)
-    return (f"final_norm={norms[-1]:.3e} "
-            f"first_below_1e-8={_first_below(norms, 1e-8)} certificate=none")
+def _run_f2_implicit(params, rng):
+    return _constant_run(
+        "f2", IMPLICIT_EULER, params, "f2-implicit", lambda norms: (
+            f"final_norm={norms[-1]:.3e} "
+            f"first_below_1e-8={_first_below(norms, 1e-8)}"))
 
 
-def _run_boundary(params, out, rng):
-    lam = float(params["lambda"])
+def _run_boundary(params, rng):
     points = int(params["points"])
-    sweep = boundary_sweep(lam=lam, n_points=points,
+    sweep = boundary_sweep(lam=float(params["lambda"]), n_points=points,
                            tol=float(params["tol"]))
-    write_sweep_csv(sweep, out / "boundary-4.27-sweep.csv")
     mid = points // 2
-    return (f"euler_step_at_origin_row={sweep['euler'][mid]:.8f} "
-            f"schemes={len(sweep) - 1} points={points}")
+    return Result(params, sweep, (
+        f"euler_step_at_origin_row={sweep['euler'][mid]:.8f} "
+        f"schemes={len(sweep) - 1} points={points}"),
+        (("boundary-4.27-sweep.csv", partial(write_sweep_csv, sweep)),))
 
 
-def _run_advection(params, out, rng):
+def _run_advection(params, rng):
     n = int(params["n"])
-    c = float(params["c"])
     big_k = float(params["k"])
-    h = float(params["h"])
-    n_steps = int(params["steps"])
-
-    def b(y):
-        return big_k * math.cos(y)
-
-    chain = advection_chain(n, c, b, big_k, r=None)
-    run = advance_chain(chain, np.ones(n), np.full(n_steps, h))
-    write_chain_csv(run, out / "advection-chain.csv")
-    write_grid_csv(run, out / "advection-grid.csv")
-    return (f"final_sup={run.final_sup:.6e} t_end={run.tau[-1]:.4f} "
-            f"nodes={n}")
+    chain = advection_chain(n, float(params["c"]),
+                            lambda y: big_k * math.cos(y), big_k, r=None)
+    run = advance_chain(chain, np.ones(n),
+                        np.full(int(params["steps"]), float(params["h"])))
+    return Result(params, run, (
+        f"final_sup={run.final_sup:.6e} t_end={run.tau[-1]:.4f} nodes={n}"),
+        (("advection-chain.csv", partial(write_chain_csv, run)),
+         ("advection-grid.csv", partial(write_grid_csv, run))))
 
 
-def _run_smallgain_trials(params, out, rng):
+def _run_smallgain_trials(params, rng):
     runs = int(params["runs"])
     fails, worst = chain_decay_trials(rng, runs, int(params["cap"]), 1e-6)
-    return f"runs={runs} failures={fails} slowest_decay_steps={worst}"
+    return Result(params, (fails, worst), (
+        f"runs={runs} failures={fails} slowest_decay_steps={worst}"))
 
 
-def _run_iss_trials(params, out, rng):
+def _run_iss_trials(params, rng):
     trials = int(params["trials"])
     held = 0
     printed_held = 0
@@ -210,52 +214,53 @@ def _run_iss_trials(params, out, rng):
         held += int(res.holds)
         printed_held += int(res.holds_printed)
         min_margin = min(min_margin, res.margin)
-    return (f"derived_held={held}/{trials} printed_held={printed_held}/"
-            f"{trials} min_derived_margin={min_margin:.3e}")
+    return Result(params, (held, printed_held, min_margin), (
+        f"derived_held={held}/{trials} printed_held={printed_held}/"
+        f"{trials} min_derived_margin={min_margin:.3e}"))
 
 
-def _run_nlp_qp(params, out, rng):
-    lam = float(params["lambda"])
-    tol = float(params["tol"])
+def _run_nlp_qp(params, rng):
     flow = nlp_flow(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
                     np.array([1.0]))
-    res = nlp_solve(flow, np.zeros(3), lam=lam, r=1.0, tol=tol)
-    _write_standard(res.trajectory, out, "nlp-qp")
+    res = nlp_solve(flow, np.zeros(3), lam=float(params["lambda"]), r=1.0,
+                    tol=float(params["tol"]))
     dist = float(np.linalg.norm(res.w - flow.kkt_point))
-    return (f"iterations={res.iterations} residual={res.residual:.3e} "
-            f"kkt_distance={dist:.3e} certified={res.certified}")
+    return Result(params, res, (
+        f"iterations={res.iterations} residual={res.residual:.3e} "
+        f"kkt_distance={dist:.3e} certified={res.certified}"),
+        _standard_files(res.trajectory, "nlp-qp"))
 
 
-def _run_error_budget(params, out, rng):
+def _run_error_budget(params, rng):
     eps = float(params["epsilon"])
-    t_end = float(params["t_end"])
     budget = ErrorBudget(epsilon=eps, sigma=1.0, lam=0.5,
                          a_gain=lambda s: s, l_of_x0=1.0, k_of_x0=0.5,
                          p=1, x0_norm=1.0)
-    steps = compliant_steps(budget, 1.0, t_end, rng)
+    steps = compliant_steps(budget, 1.0, float(params["t_end"]), rng)
     taus = np.concatenate([[0.0], np.cumsum(steps)])
     states = np.concatenate([[1.0], np.cumprod(1.0 - steps)])[:, None]
     traj = HybridTrajectory(tau=taus, states=states, steps=steps)
     field = linear_field(np.array([[-1.0]]))
     report = error_report(traj, field, EULER, budget, phi_cap=1.0)
-    report.to_csv(out / "error-budget-report.csv")
-    write_trajectory_csv(traj, out / "error-budget-trajectory.csv")
-    return (f"steps={steps.size} max_error={report.max_error:.3e} "
-            f"epsilon={eps} finite_time_bound_held={report.bounds_hold}")
+    return Result(params, report, (
+        f"steps={steps.size} max_error={report.max_error:.3e} "
+        f"epsilon={eps} finite_time_bound_held={report.bounds_hold}"),
+        (("error-budget-report.csv", report.to_csv),
+         ("error-budget-trajectory.csv", partial(write_trajectory_csv, traj))))
 
 
-def _run_defect_orders(params, out, rng):
+def _run_defect_orders(params, rng):
     system = example_fields()["sys427"]
-    rows = []
-    slopes = []
-    for tab, hs, ds, slope in defect_orders(system.field, np.array([1.2, 0.8])):
-        rows += [(tab.name, h, d) for h, d in zip(hs.tolist(), ds)]
-        slopes.append(f"{tab.name}={slope:.2f}")
-    write_csv(out / "defect-orders.csv", ("scheme", "h", "defect"), rows)
-    return "slopes " + " ".join(slopes)
+    orders = defect_orders(system.field, np.array([1.2, 0.8]))
+    rows = [(tab.name, h, d) for tab, hs, ds, _ in orders
+            for h, d in zip(hs.tolist(), ds)]
+    return Result(params, orders, "slopes " + " ".join(
+        f"{tab.name}={slope:.2f}" for tab, _, _, slope in orders),
+        (("defect-orders.csv",
+          lambda path: write_csv(path, ("scheme", "h", "defect"), rows)),))
 
 
-def _run_halving_f1(params, out, rng):
+def _run_halving_f1(params, rng):
     system = example_fields()["f1"]
     lam = float(params["lambda"])
     ctrl = HalvingController(system.lyap, EULER, system.field, lam=lam,
@@ -263,11 +268,12 @@ def _run_halving_f1(params, out, rng):
     traj = advance(EULER, system.field, ctrl, np.array([1.0, 0.0]),
                    t_end=float(params["t_end"]))
     report = certify_trajectory(system.lyap, traj, lam, field=system.field)
-    _write_standard(traj, out, "halving-f1", report)
     halvings = 0 if traj.halvings is None else int(traj.halvings.sum())
-    return (f"steps={traj.steps.size} certified={report.ok} "
-            f"total_halvings={halvings} "
-            f"final_norm={float(np.linalg.norm(traj.final_state)):.3e}")
+    return Result(params, traj, (
+        f"steps={traj.steps.size} certified={report.ok} "
+        f"total_halvings={halvings} "
+        f"final_norm={float(np.linalg.norm(traj.final_state)):.3e}"),
+        _standard_files(traj, "halving-f1", report))
 
 
 CATALOG: tuple[Experiment, ...] = (
@@ -336,8 +342,23 @@ def _seed(seed: int) -> int:
     return seed
 
 
-def _run_experiment(exp: Experiment, overrides: dict, out: Path,
-                    seed: int) -> str:
+def _lookup(name: str) -> Experiment:
+    if name not in _BY_NAME:
+        raise UsageError(f"unknown experiment {name!r} "
+                         f"(known: {', '.join(sorted(_BY_NAME))})")
+    return _BY_NAME[name]
+
+
+def experiment(name: str, overrides: Optional[dict] = None,
+               seed: int = _DEFAULT_SEED) -> Result:
+    """Compute catalog experiment `name` as `run` does, and write nothing.
+
+    The overrides replace its defaults, and it draws from
+    SeedSequence([seed, catalog index]).  An unknown experiment or
+    parameter, and a negative seed, raise UsageError.
+    """
+    exp = _lookup(name)
+    overrides = overrides or {}
     params = dict(exp.defaults)
     unknown = set(overrides) - set(params)
     if unknown:
@@ -347,8 +368,16 @@ def _run_experiment(exp: Experiment, overrides: dict, out: Path,
         )
     params.update(overrides)
     index = CATALOG.index(exp)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    return exp.runner(params, out, rng)
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed), index]))
+    return exp.runner(params, rng)
+
+
+def _run_experiment(exp: Experiment, overrides: dict, out: Path,
+                    seed: int) -> str:
+    result = experiment(exp.name, overrides, seed)
+    for name, write in result.files:
+        write(out / name)
+    return result.summary
 
 
 def _cmd_run(args, extra: list[str]) -> int:
@@ -360,14 +389,10 @@ def _cmd_run(args, extra: list[str]) -> int:
 
     if not args.name:
         raise UsageError("run needs an experiment name or --list")
-    if args.name not in _BY_NAME:
-        known = ", ".join(sorted(_BY_NAME))
-        raise UsageError(f"unknown experiment {args.name!r} (known: {known})")
-    exp = _BY_NAME[args.name]
+    exp = _lookup(args.name)
     overrides = _parse_overrides(extra)
-    seed = _seed(args.seed)
     try:
-        summary = _run_experiment(exp, overrides, Path(args.out), seed)
+        summary = _run_experiment(exp, overrides, Path(args.out), args.seed)
     except UsageError:
         raise
     except Exception as exc:
@@ -378,6 +403,8 @@ def _cmd_run(args, extra: list[str]) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(args.filter, _seed(args.seed))
     if not results:
         print("nothing selected")

@@ -1,5 +1,6 @@
 """Worked systems: spirals, the stiff pair, sweeps, and the QP flow."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stabstep.core import (ConfigurationError, ConstantController,
-                           ControllerError, EULER, HybridTrajectory, advance,
-                           linear_field)
+                           ControllerError, EULER, HEUN, HybridTrajectory,
+                           VectorField, advance, linear_field)
 from stabstep import applications, lyapunov
 from stabstep.lyapunov import (certify_trajectory, decrease_test,
                                quadratic_lyapunov)
@@ -244,6 +245,56 @@ class TestBoundarySweep:
             assert decrease_test(s.lyap, tab, s.field, x, h, 0.5).accepted
 
 
+def _budgeted(field: VectorField, calls: int = 10_000) -> VectorField:
+    """`field`, raising once it has been called `calls` times, so that a
+    search that never ends fails instead of hanging.  Heun's second stage
+    calls it on every step `max_decrease_step` tests."""
+    count = itertools.count(1)
+
+    def f(x):
+        if next(count) > calls:
+            raise RuntimeError(f"field called more than {calls} times")
+        return field(x)
+
+    return VectorField(dim=field.dim, f=f, jacobian=field.jacobian)
+
+
+class TestMaxDecreaseStepRefusals:
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tol_must_be_positive(self, systems, tol):
+        # tol <= 0 used to bisect forever, and a NaN tol returned the last
+        # doubled step without bisecting
+        s = systems["sys427"]
+        with pytest.raises(ConfigurationError, match="tol must be positive"):
+            max_decrease_step(s.lyap, HEUN, _budgeted(s.field),
+                              np.array([0.0, 1.0]), 0.5, tol=tol)
+
+    @pytest.mark.parametrize("x", [[math.nan, 1.0], [0.0, math.inf]])
+    def test_state_must_be_finite(self, systems, x):
+        # a NaN state used to return 0.0, as if no step were accepted
+        s = systems["sys427"]
+        with pytest.raises(ConfigurationError, match="x must be finite"):
+            max_decrease_step(s.lyap, HEUN, _budgeted(s.field), np.array(x),
+                              0.5)
+
+    def test_a_tol_below_the_spacing_of_floats_ends(self, systems):
+        # the bracket cannot shrink below one unit in the last place, so
+        # the bisection ends there instead of looping on an equal midpoint
+        s = systems["sys427"]
+        x = np.array([0.0, 1.0])
+        h = max_decrease_step(s.lyap, HEUN, _budgeted(s.field), x, 0.5,
+                              tol=1e-300)
+        assert decrease_test(s.lyap, HEUN, s.field, x, h, 0.5).accepted
+        assert not decrease_test(s.lyap, HEUN, s.field, x,
+                                 np.nextafter(h, math.inf), 0.5).accepted
+
+    @pytest.mark.parametrize("n_points", [-1, 0])
+    def test_sweep_needs_a_point(self, n_points):
+        # -1 used to escape as numpy's ValueError from linspace
+        with pytest.raises(ConfigurationError, match="n_points"):
+            boundary_sweep(n_points=n_points)
+
+
 class TestNlpFlow:
     def pinned(self):
         return nlp_flow(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
@@ -350,6 +401,14 @@ class TestNlpFlow:
         # r = -1 used to surface as the halving start step's fault
         with pytest.raises(ConfigurationError, match="r must be positive"):
             nlp_solve(self.pinned(), np.zeros(3), r=r, tol=1e-7)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-7])
+    def test_tol_must_be_positive(self, tol, monkeypatch):
+        # a NaN tol used to run the whole iteration budget and then blame
+        # convergence; the short budget keeps a missing refusal quick
+        monkeypatch.setattr(applications, "_NLP_MAX_ITER", 100)
+        with pytest.raises(ConfigurationError, match="tol must be positive"):
+            nlp_solve(self.pinned(), np.zeros(3), tol=tol)
 
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(applications, "_NLP_MAX_ITER", 3)

@@ -181,6 +181,15 @@ def test_verify_single_criterion(capsys):
     assert "PASS" in out
 
 
+def test_verify_writes_no_file(tmp_path, capsys, monkeypatch):
+    # criterion 3 reads four catalog runs, which `run` would write as CSVs
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["verify", "--filter", "3"], capsys)
+    assert "criterion 3" in out
+    assert code == 1  # its f3 clause fails, as documented
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_name_filter(capsys):
     code, out, _ = run_cli(["verify", "--filter", "agreement"], capsys)
     assert code == 0

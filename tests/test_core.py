@@ -452,17 +452,6 @@ class TestTrajectory:
         return HybridTrajectory(tau=tau, states=states,
                                 steps=np.array([0.5, 1.0]))
 
-    def test_interpolant_is_piecewise_affine(self):
-        traj = self.make()
-        np.testing.assert_allclose(traj.state_at(0.25), [0.5, 1.0])
-        np.testing.assert_allclose(traj.state_at(1.0), [2.0, 0.0])
-
-    def test_interpolant_exact_at_nodes(self):
-        traj = self.make()
-        for i, t in enumerate(traj.tau):
-            np.testing.assert_array_equal(traj.state_at(float(t)),
-                                          traj.states[i])
-
     def test_mismatched_clock_rejected(self):
         with pytest.raises(ConfigurationError):
             HybridTrajectory(tau=np.array([0.0, 0.4]),
