@@ -420,11 +420,13 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabstep",
         description="certified-step ODE experiments and acceptance checks",
+        allow_abbrev=False,  # else --h, an experiment's step, reads as --help
     )
     sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser(
-        "run", help="run one named experiment; --key value overrides a default")
+        "run", allow_abbrev=False,
+        help="run one named experiment; --key value overrides a default")
     run_p.add_argument("name", nargs="?", help="experiment name")
     run_p.add_argument("--list", action="store_true",
                        help="print the experiment catalog")
@@ -435,7 +437,8 @@ def _parser() -> argparse.ArgumentParser:
                             f"(default {_DEFAULT_SEED})")
 
     ver_p = sub.add_parser(
-        "verify", help="run the acceptance suite at its pinned tolerances")
+        "verify", allow_abbrev=False,
+        help="run the acceptance suite at its pinned tolerances")
     ver_p.add_argument("--filter", help="criterion number or name substring")
     ver_p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                        help=f"non-negative seed, split per criterion "

@@ -338,7 +338,7 @@ _CERT_COLUMNS = ("h", "lhs", "rhs", "halvings")  # from each certificate
 class HybridTrajectory:
     """Node sequence of a run: times, states, and steps taken.
 
-    tau has shape (N,), finite, states (N, dim), steps (N-1,) with
+    tau has shape (N,), finite, states (N, dim), finite, steps (N-1,) with
     tau[i+1] == tau[i] + steps[i] exactly (the times are built by the same
     additions).
 
@@ -373,6 +373,8 @@ class HybridTrajectory:
         # nondecreasing from here on, so finite ends make every time finite
         if not (math.isfinite(tau[0]) and math.isfinite(tau[-1])):
             raise ConfigurationError("node times tau must be finite")
+        if not np.isfinite(states).all():
+            raise ConfigurationError("trajectory states must be finite")
         if self.stop_reason not in (None, "t_end", "stop", "max_steps"):
             raise ConfigurationError(f"unknown stop_reason {self.stop_reason!r}")
         object.__setattr__(self, "tau", tau)

@@ -26,6 +26,7 @@ from .core import (
     IMPROVED_POLYGON,
     KUTTA3,
     VectorField,
+    _chunked,
     reference_at_times,
     reference_solve,
     rk_increment,
@@ -300,17 +301,30 @@ def compliant_steps(
                            _compliant_blocks(budget, phi_cap, t_end, rng)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
-    """Per-node error audit rows (tau, e_norm, bound_7_4, bound_7_6, rule)."""
+    """Per-node error audit as columns: tau (the trajectory's), e_norm
+    (global_error's) and bounds, 24 bytes per node for bound_7_4, bound_7_6
+    and rule_step.  rows builds row tuples when asked, to_csv 4,096 at once."""
 
-    rows: tuple
+    tau: Array
+    e_norm: Array
+    bounds: Array
     max_error: float
     bounds_hold: bool
 
+    def _rows(self):
+        return _chunked(self.tau.size, lambda part: zip(
+            self.tau[part].tolist(), self.e_norm[part].tolist(),
+            *self.bounds[part].T.tolist()))
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(self._rows())
+
     def to_csv(self, path) -> None:
         write_csv(path, ("tau", "e_norm", "bound_7_4", "bound_7_6", "rule_step"),
-                  self.rows)
+                  self._rows())
 
 
 def error_report(
@@ -323,7 +337,7 @@ def error_report(
     """Measure the error at every node and tabulate it against both bounds
     and the rule value; bounds use the running defect supremum."""
     errors = global_error(traj, field)
-    rows = []
+    bounds = np.empty((traj.tau.size, 3))
     d_sup = 0.0
     ok = True
     for i in range(traj.tau.size):
@@ -339,6 +353,6 @@ def error_report(
         e_i = float(errors[i])
         if e_i > b4 + 1e-9 * max(1.0, b4):
             ok = False
-        rows.append((tau_i, e_i, b4, b6, rule))
-    return ErrorReport(rows=tuple(rows), max_error=float(np.max(errors)),
-                       bounds_hold=ok)
+        bounds[i] = b4, b6, rule
+    return ErrorReport(traj.tau, errors, bounds,
+                       max_error=float(np.max(errors)), bounds_hold=ok)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +28,8 @@ from .core import (
     HybridTrajectory,
     StageSolveError,
     VectorField,
+    _CHUNK_ROWS,
+    _chunked,
     _matvec,
     rk_increment,
     write_csv,
@@ -256,17 +259,35 @@ def linear_phi(a: Array, p: Array, x: Array, lam: float, r: float) -> float:
 # trajectory certification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificationReport:
-    """Per-step decrease audit of a finished trajectory."""
+    """Per-step decrease audit of a finished trajectory, kept as columns: v
+    at every node, threshold and accepted per step, 17 bytes per step; tau
+    and halvings (None counts 0 per row) are the trajectory's own arrays.
+    rows builds the row tuples when asked, to_csv 4,096 at a time."""
 
     ok: bool
-    rows: tuple
+    tau: Array
+    v: Array
+    threshold: Array
+    accepted: Array
+    halvings: Optional[Array]
     first_violation: Optional[int] = None
+
+    def _rows(self):
+        n, halvings = self.threshold.size, self.halvings
+        return _chunked(n, lambda part: zip(
+            range(n)[part], self.tau[part].tolist(), self.v[part].tolist(),
+            self.threshold[part].tolist(), self.accepted[part].tolist(),
+            repeat(0) if halvings is None else halvings[part].tolist()))
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(self._rows())
 
     def to_csv(self, path) -> None:
         write_csv(path, ("i", "tau", "V", "threshold", "accepted", "halvings"),
-                  self.rows)
+                  self._rows())
 
 
 def certify_trajectory(
@@ -279,27 +300,22 @@ def certify_trajectory(
 
     Each threshold is V(x) + lam * h * grad V(x) . f(x), the one
     decrease_test compares against, with lam in (0, 1).  Halving counts are
-    copied from the trajectory's halvings column, and are 0 without one.
+    the trajectory's halvings column, and are 0 without one.
     """
     check_lam(lam)
-    states = traj.states
-    halvings = (traj.halvings.tolist() if traj.halvings is not None
-                else [0] * traj.steps.size)
-    rows = []
-    first_violation = None
-    v_next = lyap(states[0])  # each row's V(x_{i+1}) is the next V(x_i)
-    for i, (tau, h, halv) in enumerate(zip(traj.tau.tolist(),
-                                           traj.steps.tolist(), halvings)):
-        v_here = v_next
-        threshold = v_here + lam * h * state_terms(lyap, field, states[i],
-                                                   v_here)[2]
-        v_next = lyap(states[i + 1])
-        accepted = within_slack(v_next, threshold)
-        rows.append((i, tau, v_here, threshold, accepted, halv))
-        if not accepted and first_violation is None:
-            first_violation = i
-    return CertificationReport(ok=first_violation is None, rows=tuple(rows),
-                               first_violation=first_violation)
+    states, n = traj.states, traj.steps.size
+    v, threshold, accepted = np.empty(n + 1), np.empty(n), np.empty(n, bool)
+    v_next = v[0] = lyap(states[0])  # each V(x_{i+1}) is the next V(x_i)
+    for lo in range(0, n, _CHUNK_ROWS):  # no list of every step at once
+        for i, h in enumerate(traj.steps[lo:lo + _CHUNK_ROWS].tolist(), lo):
+            v_here = v_next
+            threshold[i] = bar = v_here + lam * h * state_terms(
+                lyap, field, states[i], v_here)[2]
+            v_next = v[i + 1] = lyap(states[i + 1])
+            accepted[i] = within_slack(v_next, bar)
+    first = None if accepted.all() else int(accepted.argmin())
+    return CertificationReport(first is None, traj.tau, v, threshold,
+                               accepted, traj.halvings, first)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,13 @@ def chain_decay_trials(
     its transport and a random initial state, then steps it until the sup
     norm drops below target, for at most cap steps, drawing each step as it
     goes.  Returns the number of runs that never got there (a non-finite
-    state counts as one) and the most steps any successful run took.
+    state counts as one) and the most steps any successful run took.  runs
+    must be a nonnegative integer and target positive and finite.
     """
+    if not (isinstance(runs, (int, np.integer)) and runs >= 0):
+        raise ConfigurationError(f"runs must be a nonnegative integer: {runs}")
+    if not 0.0 < target < math.inf:
+        raise ConfigurationError("target must be positive and finite")
     fails = 0
     worst = 0
     draw = lambda x, tau: 10.0 * (1.0 - rng.random())

@@ -109,6 +109,17 @@ def test_unknown_parameter_exits_2(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_step_override_h_is_not_help(tmp_path, capsys):
+    # with argparse's prefix matching, --h read as --help: run printed its
+    # usage, exited 0 and wrote nothing
+    code, out, _ = run_cli(["run", "f1-euler", "--h", "0.1", "--steps", "5",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert out.startswith("f1-euler: ")
+    rows = (tmp_path / "f1-euler-trajectory.csv").read_text().splitlines()
+    assert [float(row.split(",")[1]) for row in rows[1:-1]] == [0.1] * 5
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -463,6 +463,14 @@ class TestTrajectory:
         with pytest.raises(ConfigurationError, match="tau must be finite"):
             HybridTrajectory(tau=[t0], states=[[1.0]], steps=[])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_rejected(self, bad):
+        # advance raises on such a state before recording it; a trajectory
+        # built by hand, as error-budget's is, used to take it
+        with pytest.raises(ConfigurationError, match="states must be finite"):
+            HybridTrajectory(tau=[0.0, 0.5], states=[[1.0, 0.0], [bad, 0.5]],
+                             steps=[0.5])
+
     def test_built_trajectories_have_no_stop_reason(self):
         assert self.make().stop_reason is None
         with pytest.raises(ConfigurationError, match="stop_reason"):

@@ -95,6 +95,36 @@ def test_benchmark_finds_its_names():
     assert proc.stdout.split() == ["1", "True", "True", "True", "True"]
 
 
+def test_benchmark_counts_audit_rows(tmp_path):
+    """bench/tracing.py counts audit work as len(report.rows) after
+    certify_trajectory, CertificationReport.to_csv and error_report: the
+    counters must equal the audited steps and nodes, whatever layout the
+    reports keep their rows in.  bench/ is read in place."""
+    proc = run_python(
+        f"import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        f"import numpy as np, tracing, workloads\n"
+        f"from stabstep import core, lyapunov\n"
+        f"tr = tracing.Tracer()\n"
+        f"tracing.install(tr)\n"
+        f"from stabstep.global_error import ErrorBudget, error_report\n"
+        f"f = core.linear_field(np.array([[-1.0]]))\n"
+        f"v = lyapunov.quadratic_lyapunov(np.eye(1))\n"
+        f"traj = core.advance(core.EULER, f, core.ConstantController(0.05),\n"
+        f"                    np.ones(1), 1.0)\n"
+        f"report = lyapunov.certify_trajectory(v, traj, 0.5, field=f)\n"
+        f"report.to_csv({str(tmp_path / 'cert.csv')!r})\n"
+        f"budget = ErrorBudget(0.1, 1.0, 0.5, lambda s: s, 1.0, 0.5, 1, 1.0)\n"
+        f"error_report(traj, f, core.EULER, budget, 1.0)\n"
+        f"print(traj.steps.size, traj.tau.size, *(tr.counts[key] for key in (\n"
+        f"    'lyapunov.certify_trajectory.rows', 'lyapunov.report_csv.rows',\n"
+        f"    'global_error.error_report.rows')))\n")
+    assert proc.returncode == 0, proc.stderr
+    steps, nodes, audited, written, measured = map(int, proc.stdout.split())
+    assert steps > 0
+    assert (audited, written, measured) == (steps, steps, nodes)
+
+
 def test_public_names_resolve_and_none_is_a_module():
     import types
 

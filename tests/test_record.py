@@ -1,5 +1,5 @@
-"""The run record in bounded memory: `advance`'s column buffers and the
-chunked CSV writers."""
+"""The run record in bounded memory: `advance`'s column buffers, the
+audit's columns and the chunked CSV writers."""
 
 import math
 import tracemalloc
@@ -19,7 +19,9 @@ from stabstep.core import (
     write_csv,
     write_trajectory_csv,
 )
-from stabstep.lyapunov import HalvingController, quadratic_lyapunov
+from stabstep.applications import example_fields
+from stabstep.lyapunov import (HalvingController, certify_trajectory,
+                               quadratic_lyapunov, state_terms, within_slack)
 from stabstep.smallgain import write_chain_csv, write_grid_csv
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -70,6 +72,28 @@ def test_writing_costs_no_memory_per_row(tmp_path, monkeypatch):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_an_audit_holds_columns_not_rows(tmp_path):
+    """The audit of a 20,000-step run holds V per node, and the threshold
+    and verdict per step, 17 bytes per step; a tuple per row held about
+    196.  Writing its CSV converts 4,096 rows at a time."""
+    n = 20_000
+    f2 = example_fields()["f2"]
+    traj = advance(EULER, f2.field, ConstantController(0.2),
+                   np.array([1.0, 0.0]), math.inf, max_steps=n)
+    tracemalloc.start()
+    try:
+        report = certify_trajectory(f2.lyap, traj, 0.5, field=f2.field)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report.to_csv(tmp_path / "cert.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps.size == len(report.rows) == n
+    assert held / n <= 40, f"{held / n:.0f} B per step"
+    assert peak - held <= 2 * 2**20, f"{(peak - held) / 2**20:.2f} MiB"
+
+
 # the writers' rows as each built them at once, before they wrote in chunks
 def one_shot_node_rows(traj):
     return zip(traj.tau.tolist(), traj.steps.tolist() + [0.0],
@@ -78,6 +102,17 @@ def one_shot_node_rows(traj):
 
 def one_shot_step_rows(traj):
     return zip(range(traj.steps.size), traj.tau.tolist(), traj.steps.tolist())
+
+
+def one_shot_audit_rows(lyap, traj, lam, field):
+    """certify_trajectory's rows as it built them, one tuple per step."""
+    v = [lyap(x) for x in traj.states]
+    rows = []
+    for i, (tau, h) in enumerate(zip(traj.tau.tolist(), traj.steps.tolist())):
+        bar = v[i] + lam * h * state_terms(lyap, field, traj.states[i],
+                                           v[i])[2]
+        rows.append((i, tau, v[i], bar, within_slack(v[i + 1], bar), 0))
+    return rows
 
 
 def one_shot_grid_rows(run):
@@ -109,6 +144,17 @@ def test_chunk_boundaries_keep_every_byte(tmp_path, rows):
         writer(traj, got)
         write_csv(want, header, one_shot(traj))
         assert got.read_bytes() == want.read_bytes(), writer.__name__
+    # the audit: its columns, its rows and its CSV
+    f2, traj = example_fields()["f2"], built_trajectory(rows + 1, 2)
+    report = certify_trajectory(f2.lyap, traj, 0.5, field=f2.field)
+    one_shot = one_shot_audit_rows(f2.lyap, traj, 0.5, f2.field)
+    assert report.rows == tuple(one_shot)
+    assert report.first_violation == next(
+        (row[0] for row in one_shot if not row[4]), None)
+    report.to_csv(got)
+    write_csv(want, ("i", "tau", "V", "threshold", "accepted", "halvings"),
+              one_shot)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_columns_across_capacity_doublings():

@@ -178,6 +178,20 @@ def test_chain_decay_trials_match_the_hand_loop(seed, runs, cap, log_target):
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("runs", [-1, 2.0, 1.5])
+def test_chain_decay_trials_refuse_a_run_count(runs):
+    # runs=-1 returned (0, 0), as if every run had decayed
+    with pytest.raises(ConfigurationError, match="runs"):
+        chain_decay_trials(np.random.default_rng(0), runs, 10, 1e-6)
+
+
+@pytest.mark.parametrize("target", [math.nan, 0.0, -1e-6, math.inf])
+def test_chain_decay_trials_refuse_a_target(target):
+    # target=nan counted every run as failed
+    with pytest.raises(ConfigurationError, match="target"):
+        chain_decay_trials(np.random.default_rng(0), 1, 10, target)
+
+
 def _overflowing_chain():
     """x_2 is driven by x_1 squared, which overflows from x_1 = 1e200."""
     return CascadeSystem(n=2, l_bounds=(1.0, 1.0),
