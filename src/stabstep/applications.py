@@ -71,12 +71,15 @@ def example_fields() -> dict[str, ExampleSystem]:
     """
     f1_field = linear_field(_M1)
 
+    # on Python floats, numpy's scalar arithmetic bit for bit at less cost;
+    # s stays the BLAS dot, whose fused multiply-add Python would not repeat
     def f2(x: Array) -> Array:
-        s = x.dot(x)
-        return np.array([-s * x[0] + x[1], -x[0] - s * x[1]])
+        s = float(x.dot(x))
+        x1, x2 = x.tolist()
+        return np.array([-s * x1 + x2, -x1 - s * x2])
 
     def f2_jac(x: Array) -> Array:
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return np.array([
             [-(3.0 * x1 * x1 + x2 * x2), 1.0 - 2.0 * x1 * x2],
             [-1.0 - 2.0 * x1 * x2, -(x1 * x1 + 3.0 * x2 * x2)],
@@ -92,12 +95,14 @@ def example_fields() -> dict[str, ExampleSystem]:
         jacobian=lambda x: x.dot(x) * _M1 + 2.0 * np.outer(_M1.dot(x), x))
 
     def f427(x: Array) -> Array:
-        return np.array([-x[0] + x[1] * x[1], -x[1] - x[0] * x[1]])
+        x1, x2 = x.tolist()
+        return np.array([-x1 + x2 * x2, -x2 - x1 * x2])
 
-    sys427_field = VectorField(
-        dim=2, f=f427,
-        jacobian=lambda x: np.array([[-1.0, 2.0 * x[1]],
-                                     [-x[1], -1.0 - x[0]]]))
+    def f427_jac(x: Array) -> Array:
+        x1, x2 = x.tolist()
+        return np.array([[-1.0, 2.0 * x2], [-x2, -1.0 - x1]])
+
+    sys427_field = VectorField(dim=2, f=f427, jacobian=f427_jac)
 
     v427 = LyapunovFunction(
         v=lambda x: 0.5 * float(x.dot(x)),
@@ -412,7 +417,8 @@ def nlp_solve(
 
     def converged(w: Array) -> bool:
         nonlocal residual
-        residual = float(np.linalg.norm(flow.field(w)))
+        fw = flow.field(w)
+        residual = math.sqrt(fw.dot(fw))  # numpy's 1-D norm, bit for bit
         return residual < tol
 
     v0 = flow.lyap(np.asarray(w0, dtype=float))

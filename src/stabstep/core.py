@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 Array = np.ndarray
 
@@ -52,8 +53,8 @@ class VectorField:
     f : callable
         Maps a state vector of shape (dim,) to the derivative vector.
     jacobian : callable, optional
-        Df(x), which the Newton stage solve of implicit Euler needs:
-        `rk_increment` refuses implicit Euler on a field without it.
+        Df(x), of shape (dim, dim), which implicit Euler's Newton stage
+        solve needs: `rk_increment` refuses implicit Euler without it.
     linear_matrix : ndarray, optional
         Set when f(x) = A x.  `implicit.implicit_euler_step` then solves
         (I - hA) Y = x directly, and `rk_increment` skips its rebuilt-state
@@ -129,10 +130,13 @@ class ButcherTableau:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape != (b.size, b.size):
             raise ConfigurationError("tableau shapes disagree")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ConfigurationError("tableau coefficients must be finite")
         if abs(b.sum() - 1.0) > 1e-12:
             raise ConfigurationError("tableau weights must sum to 1")
-        if self.order < 1:
-            raise ConfigurationError("order must be a positive integer")
+        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
+            raise ConfigurationError(
+                f"order must be a positive integer, got {self.order!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "explicit", bool(np.all(np.triu(a) == 0.0)))
@@ -212,8 +216,9 @@ def rk_increment(
 
     Implicit Euler, the one implicit tableau, solves y = x + h f(y) from
     y = x by Newton iteration with I - h J(y), to a residual of
-    1e-12 (1 + |x|), and returns F = f(y); failure within 50 iterations
-    raises StageSolveError.  A field without a Jacobian is refused with
+    1e-12 (1 + |x|), and returns F = f(y); each Newton step is a
+    `_stage_solve`, and failure within 50 iterations raises
+    StageSolveError.  A field without a Jacobian is refused with
     ConfigurationError, whatever h: a Jacobian-free fixed-point iteration
     converges only while h L < 1, where explicit Euler already contracts
     on f = -L x.
@@ -257,12 +262,8 @@ def rk_increment(
         res = y - x - h * fy
         if math.sqrt(np.add.reduce(res * res)) <= tol:
             break
-        jac = _identity(x.size) - h * np.asarray(field.jacobian(y),
-                                                 dtype=float)
-        try:
-            y = y - np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise StageSolveError(f"singular stage Jacobian at h={h}") from exc
+        y = y - _stage_solve(np.asarray(field.jacobian(y), dtype=float),
+                             res, h)
         if not math.isfinite(y.dot(y)) and not np.isfinite(y).all():
             raise StageSolveError(f"stage Newton iteration diverged at h={h}")
         fy = field(y)
@@ -273,6 +274,28 @@ def rk_increment(
     if field.linear_matrix is None:
         _check_rebuilt_state(field, x, h, fy)
     return fy
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _stage_solve(jac: Array, r: Array, h: float) -> Array:
+    """(I - h jac)^-1 r, np.linalg.solve's bits: it calls this gufunc under
+    this errstate, with checks that cost more than a small solve.  A jac
+    not of shape (d, d), d = r.size, raises ConfigurationError, a singular
+    I - h jac StageSolveError."""
+    d = r.size
+    if jac.shape != (d, d):
+        raise ConfigurationError(
+            f"Jacobian of shape {jac.shape} for a state of size {d}")
+    m = _identity(d) - h * jac
+    try:
+        with np.errstate(call=_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            return _umath_linalg.solve1(m, r, signature="dd->d")
+    except np.linalg.LinAlgError as exc:
+        raise StageSolveError(f"singular stage Jacobian at h={h}") from exc
 
 
 def _check_rebuilt_state(
@@ -500,8 +523,9 @@ def advance(
 
     The scheme is a ButcherTableau, stepped as x + h * rk_increment(scheme,
     field, x, h), or a callable step(x, h) -> x_next, with field unused.
-    x0 must be a 1-D state vector, and max_steps, when given, a
-    nonnegative integer; anything else raises ConfigurationError.
+    x0 must be a nonempty 1-D state vector, of the field's dim under a
+    tableau, and max_steps, when given, a nonnegative integer; anything
+    else raises ConfigurationError.
 
     At each node, after checking that the state is finite and tau < t_end,
     stop(x) is asked whether the run is done; without a stop rule the run
@@ -548,9 +572,12 @@ def advance(
         raise ConfigurationError(
             f"max_steps must be a nonnegative integer, got {max_steps!r}")
     x = np.array(x0, dtype=float)
-    if x.ndim != 1:
+    if x.ndim != 1 or not x.size:
         raise ConfigurationError(
-            f"x0 must be a 1-D state vector, got shape {x.shape}")
+            f"x0 must be a nonempty 1-D state vector, got shape {x.shape}")
+    dim = x.size if callable(scheme) else getattr(field, "dim", None)
+    if dim != x.size:
+        raise ConfigurationError(f"field of dim {dim} for x0 of size {x.size}")
     rows = _FIRST_ROWS
     taus, steps = np.empty(rows), np.empty(rows)
     states = np.empty((rows, x.size))
@@ -684,7 +711,8 @@ def reference_solve(
                 f"reference solve reached a non-finite state at "
                 f"t_end={t_end:g} with n={2 * n} steps"
             )
-        if float(np.linalg.norm(fine - coarse)) / 15.0 < tol:
+        diff = fine - coarse  # |diff| as sqrt(diff . diff), numpy's 1-D norm
+        if math.sqrt(diff.dot(diff)) / 15.0 < tol:
             return fine
         n *= 2
         coarse = fine

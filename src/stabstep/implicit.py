@@ -18,8 +18,8 @@ from .core import (
     Array,
     ConfigurationError,
     IMPLICIT_EULER,
-    StageSolveError,
     VectorField,
+    _stage_solve,
     rk_increment,
 )
 
@@ -28,7 +28,8 @@ def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
     """Solve Y = x + h f(Y) and return Y (the next state).
 
     Linear fields are handled by a direct solve of (I - hA)Y = x with no
-    step restriction.  Otherwise Y = x + h F with F from `rk_increment`
+    step restriction, by `core._stage_solve`, which refuses an A whose
+    shape is not (d, d).  Otherwise Y = x + h F with F from `rk_increment`
     under the implicit Euler tableau, which needs the field's Jacobian and
     also verifies Y's residual.
     """
@@ -38,9 +39,5 @@ def implicit_euler_step(field: VectorField, x: Array, h: float) -> Array:
     if h == 0.0:
         return x.copy()
     if field.linear_matrix is not None:
-        a = field.linear_matrix
-        try:
-            return np.linalg.solve(np.eye(field.dim) - h * a, x)
-        except np.linalg.LinAlgError as exc:
-            raise StageSolveError(f"I - hA singular at h={h}") from exc
+        return _stage_solve(field.linear_matrix, x, h)
     return x + h * rk_increment(IMPLICIT_EULER, field, x, h)

@@ -172,10 +172,14 @@ def halving_controller(
 
     Rejecting all of h_init, ..., h_init / 2^40 raises ControllerError:
     either h_init was absurdly large or the Lyapunov pairing is invalid
-    near x.  terms, when given, must be state_terms(lyap, field, x).
+    near x.  terms, when given, must be state_terms(lyap, field, x).  An
+    h_init outside (0, inf) or a non-finite x raises ConfigurationError.
     """
     if not 0.0 < h_init < math.inf:
         raise ConfigurationError("h_init must be positive and finite")
+    x = np.asarray(x, dtype=float)
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+        raise ConfigurationError("state x must be finite")
     terms = terms or state_terms(lyap, field, x)
     h = float(h_init)
     for k in range(_MAX_HALVINGS + 1):
@@ -208,9 +212,11 @@ def euler_q_phi(
     curvature obstruction and the cap r is returned.  A V not declared
     hess_constant is refused with ConfigurationError.  terms, when given,
     must be state_terms(lyap, field, x); its f(x) and grad V . f then serve
-    the curvature too, and the decrease test of the chosen step.  A
-    grad V . f that is not finite at x raises ConfigurationError.
+    the curvature too, and the decrease test of the chosen step.  A lam
+    outside (0, 1), and a grad V . f that is not finite at x, raise
+    ConfigurationError.
     """
+    check_lam(lam)
     check_cap(r)
     if lyap.hess is None or not lyap.hess_constant:
         raise ConfigurationError("euler_q_phi needs a Hessian declared "

@@ -100,7 +100,7 @@ def chain_decay_trials(
     fails = 0
     worst = 0
     draw = lambda x, tau: 10.0 * (1.0 - rng.random())
-    below = lambda x: float(np.max(np.abs(x))) < target
+    below = lambda x: np.abs(x).max() < target
     for _ in range(runs):
         n = int(rng.integers(5, 21))
         c = float(rng.uniform(0.5, 2.0))
@@ -270,7 +270,7 @@ def advection_chain(
             f"K*dz = {big_k * dz} must stay strictly below c = {c}"
         )
     big_l = c / dz - big_k
-    for y in np.linspace(-10.0, 10.0, 41):
+    for y in np.linspace(-10.0, 10.0, 41).tolist():
         if float(b_func(y)) > big_k + 1e-12:
             raise ConfigurationError(f"b({y}) exceeds the stated bound K={big_k}")
 
@@ -278,7 +278,8 @@ def advection_chain(
     return CascadeSystem(
         n=n,
         l_bounds=np.full(n, big_l),
-        a_vec=lambda x: ratio - np.array([float(b_func(v)) for v in x]),
+        a_vec=lambda x: ratio - np.array([float(b_func(v))
+                                          for v in x.tolist()]),
         f_vec=lambda x: ratio * np.concatenate(([0.0], x[:-1])),
         r=r,
     )

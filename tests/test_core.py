@@ -66,6 +66,20 @@ class TestTableaus:
         with pytest.raises(ConfigurationError):
             ButcherTableau("bad", np.zeros((2, 2)), np.array([1.0]), 1)
 
+    @pytest.mark.parametrize("a, b", [
+        pytest.param([[0.0]], [math.nan], id="nan-weight"),
+        pytest.param([[0.0, 0.0], [math.nan, 0.0]], [0.5, 0.5], id="nan-a"),
+        pytest.param([[0.0, 0.0], [math.inf, 0.0]], [0.5, 0.5], id="inf-a")])
+    def test_rejects_non_finite_coefficients(self, a, b):
+        # |nan - 1| > 1e-12 is False, so the weight check let a NaN pass
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            ButcherTableau("bad", a, b, 1)
+
+    @pytest.mark.parametrize("order", [2.5, math.nan, 0, -1, "1"])
+    def test_order_must_be_a_positive_integer(self, order):
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            ButcherTableau("bad", [[0.0]], [1.0], order)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_linear_field_needs_a_finite_matrix(self, bad):
         with pytest.raises(ConfigurationError, match="matrix a must be finite"):
@@ -416,6 +430,22 @@ class TestAdvance:
         # a (1, 1) x0 would broadcast into a record row without an error
         with pytest.raises(ConfigurationError, match="x0"):
             advance(EULER, scalar_decay(), ConstantController(0.5), x0,
+                    t_end=1.0)
+
+    def test_empty_x0_is_refused(self):
+        # once ended at once with stop_reason "stop", as if converged
+        with pytest.raises(ConfigurationError, match="nonempty"):
+            advance(lambda x, h: x, None, ConstantController(0.5),
+                    np.empty(0), t_end=1.0)
+
+    @pytest.mark.parametrize("field", [
+        pytest.param(linear_field(-np.eye(3)), id="linear"),
+        pytest.param(VectorField(3, lambda x: -x), id="silent")])
+    def test_a_field_of_another_dim_is_refused(self, field):
+        # the linear field failed inside numpy's dot; -x ran silently
+        with pytest.raises(ConfigurationError,
+                           match="field of dim 3 for x0 of size 2"):
+            advance(EULER, field, ConstantController(0.5), np.ones(2),
                     t_end=1.0)
 
     def test_non_finite_x0_raises(self):

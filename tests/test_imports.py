@@ -57,13 +57,23 @@ def test_no_module_imports_scipy_stats():
 
 def test_stepping_modules_take_no_matmul_operator():
     # on a step's few-element arrays the dispatch of `@` outweighs the
-    # arithmetic; ndarray.dot reaches the same BLAS routine without it
+    # arithmetic; ndarray.dot reaches the same BLAS routine without it.
+    # Likewise np.linalg.solve's checks outweigh a small solve, so the
+    # stage solves call its gufunc, which must exist in this numpy.
+    from numpy.linalg import _umath_linalg
+
+    assert callable(_umath_linalg.solve1)
     found = []
-    for name in ("core.py", "lyapunov.py"):
+    for name in ("core.py", "lyapunov.py", "implicit.py"):
         path = ROOT / "src" / "stabstep" / name
+        text = path.read_text()
         found += [f"{name}:{node.lineno}"
-                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  for node in ast.walk(ast.parse(text, str(path)))
                   if isinstance(getattr(node, "op", None), ast.MatMult)]
+        if name != "lyapunov.py":
+            found += [f"{name}:{i}: np.linalg.solve"
+                      for i, line in enumerate(text.splitlines(), 1)
+                      if "np.linalg.solve(" in line]
     assert found == []
 
 

@@ -184,6 +184,19 @@ class TestHalvingController:
             halving_controller(vsq(), EULER, spiral(), np.array([1.0, 0.0]),
                                h_init, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state_refused(self, bad, monkeypatch):
+        # once 41 decrease tests and then "no accepted step after 40
+        # halvings", which names the wrong cause
+        monkeypatch.setattr(lyapunov, "decrease_test", None)
+        x = np.array([bad, 1.0])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConfigurationError, match="x must be finite"):
+                halving_controller(vsq(), EULER, spiral(), x, 1.0, 0.5)
+            with pytest.raises(ConfigurationError, match="x must be finite"):
+                HalvingController(vsq(), EULER, spiral(), lam=0.5,
+                                  h_init=1.0)(x, 0.0)
+
     def test_sound_after_halving(self):
         """Whenever the controller halves, the doubled step must fail."""
         rng = np.random.default_rng(3)
@@ -222,6 +235,16 @@ class TestCurvatureBounds:
             euler_q_phi(lyap, field, x, 0.5, 1.0)
         with pytest.raises(ConfigurationError, match="hess_constant"):
             EulerQController(lyap, field, lam=0.5, r=1.0)(x, 0.0)
+
+    @pytest.mark.parametrize("lam", [1.5, 5.0, math.nan, 0.0, -0.5])
+    def test_lam_outside_the_unit_interval_is_refused(self, lam):
+        # once -0.488 for lam = 1.5, NaN for NaN, a step for 0, and for
+        # EulerQController(lam=5) "decrease test needs h > 0"
+        x = np.array([1.0, -0.5])
+        with pytest.raises(ConfigurationError, match="lam"):
+            euler_q_phi(vsq(), spiral(), x, lam, 1.0)
+        with pytest.raises(ConfigurationError, match="lam"):
+            EulerQController(vsq(), spiral(), lam=lam, r=1.0)(x, 0.0)
 
     def test_positive_lie_derivative_rejected(self):
         grow = linear_field(np.array([[1.0]]))
