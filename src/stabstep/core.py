@@ -46,12 +46,24 @@ class ConfigurationError(ValueError):
 class VectorField:
     """Right-hand side of an autonomous ODE x' = f(x).
 
+    Calling the field calls f as it is, with nothing converted on the way
+    in or out.  The contract is that f takes a 1-D float64 ndarray x and
+    returns a float64 ndarray of x's shape.  It is checked once, where the
+    package first evaluates f at a caller's state: `rk_increment` when it
+    evaluates f(x) itself, `lyapunov.state_terms` when it also evaluates
+    V, the first row of `lyapunov.certify_trajectory` and the start of
+    `reference_solve`.  A scalar, a list, a float32 array or an array of
+    another shape is refused there with ConfigurationError; none of them
+    is converted or broadcast.  The states the package steps to are not
+    checked again.
+
     Parameters
     ----------
     dim : int
         State dimension.
     f : callable
-        Maps a state vector of shape (dim,) to the derivative vector.
+        Maps a float64 state vector of shape (dim,) to the float64
+        derivative vector of the same shape.
     jacobian : callable, optional
         Df(x), of shape (dim, dim), which implicit Euler's Newton stage
         solve needs: `rk_increment` refuses implicit Euler without it.
@@ -67,7 +79,29 @@ class VectorField:
     linear_matrix: Optional[Array] = None
 
     def __call__(self, x: Array) -> Array:
-        return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
+        return self.f(x)
+
+
+_FLOAT64 = np.dtype(float)
+
+
+def _check_vector(value, shape: Optional[tuple] = None,
+                  what: str = "state x") -> None:
+    """Refuse a value outside the float64 contract with ConfigurationError.
+
+    A state (shape None) must be a 1-D float64 ndarray, and f(x) or
+    grad V(x) a float64 ndarray of the given shape, the state's.  The
+    message names the type, dtype and shape that came.
+    """
+    if (isinstance(value, np.ndarray) and value.dtype == _FLOAT64
+            and (value.ndim == 1 if shape is None else value.shape == shape)):
+        return
+    got = type(value).__name__
+    if hasattr(value, "dtype"):
+        got += f" of dtype {value.dtype} and shape {np.shape(value)}"
+    need = "of one dimension" if shape is None else f"of shape {shape}"
+    raise ConfigurationError(
+        f"{what} must be a float64 ndarray {need}, got {got}")
 
 
 def _matvec(m: Array) -> Callable[[Array], Array]:
@@ -225,17 +259,20 @@ def rk_increment(
     On a field without `linear_matrix`, the state x + h F rebuilt from the
     converged stage is verified too (`_check_rebuilt_state`).
 
-    fx, when given, must be f(x), evaluated once by a caller that tests
-    several h at one x.  It is the first explicit stage, f of the first
-    implicit iterate and F(0, x), bit for bit.
+    x must be a 1-D float64 ndarray.  fx, when given, must be f(x),
+    evaluated once by a caller that tests several h at one x.  It is the
+    first explicit stage, f of the first implicit iterate and F(0, x), bit
+    for bit.  When fx is not given, x and the f(x) evaluated here are
+    checked against the `VectorField` contract.
     """
-    x = np.asarray(x, dtype=float)
     if not 0.0 <= h < math.inf:
         raise ConfigurationError("step must be nonnegative")
     if not tableau.explicit and field.jacobian is None:
         raise ConfigurationError("implicit Euler needs the field's Jacobian")
     if fx is None:
+        _check_vector(x)
         fx = field(x)
+        _check_vector(fx, x.shape, "f(x)")
     if h == 0.0:
         return fx
     if tableau.explicit:
@@ -248,9 +285,10 @@ def rk_increment(
         for i, term in enumerate(terms, 1):
             if term is None:
                 k[i] = field(x + h * a[i, :i].dot(k[:i]))
-            else:
+            else:  # 1.0 * v is v bit for bit, so a 1.0 is not multiplied
                 j, aij = term
-                k[i] = field(x + h * (aij * k[j] + 0.0))
+                k[i] = field(x + h * ((k[j] if aij == 1.0 else aij * k[j])
+                                      + 0.0))
         return tableau.b.dot(k)
 
     # |r| sums the squares in index order: np.linalg.norm of a 1-D array
@@ -262,8 +300,7 @@ def rk_increment(
         res = y - x - h * fy
         if math.sqrt(np.add.reduce(res * res)) <= tol:
             break
-        y = y - _stage_solve(np.asarray(field.jacobian(y), dtype=float),
-                             res, h)
+        y = y - _stage_solve(field.jacobian(y), res, h)
         if not math.isfinite(y.dot(y)) and not np.isfinite(y).all():
             raise StageSolveError(f"stage Newton iteration diverged at h={h}")
         fy = field(y)
@@ -283,12 +320,13 @@ def _singular(err, flag):
 def _stage_solve(jac: Array, r: Array, h: float) -> Array:
     """(I - h jac)^-1 r, np.linalg.solve's bits: it calls this gufunc under
     this errstate, with checks that cost more than a small solve.  A jac
-    not of shape (d, d), d = r.size, raises ConfigurationError, a singular
-    I - h jac StageSolveError."""
+    that is not an ndarray of shape (d, d), d = r.size, raises
+    ConfigurationError, a singular I - h jac StageSolveError."""
     d = r.size
-    if jac.shape != (d, d):
+    if not isinstance(jac, np.ndarray) or jac.shape != (d, d):
         raise ConfigurationError(
-            f"Jacobian of shape {jac.shape} for a state of size {d}")
+            f"Jacobian of shape {getattr(jac, 'shape', None)} for a state of "
+            f"size {d}, given as {type(jac).__name__}")
     m = _identity(d) - h * jac
     try:
         with np.errstate(call=_singular, invalid="call", over="ignore",
@@ -315,8 +353,7 @@ def _check_rebuilt_state(
     residual = math.sqrt(r.dot(r))
     bound = 10.0 * _STAGE_TOL * (1.0 + math.sqrt(x.dot(x)))
     if residual > bound:
-        jac = np.asarray(field.jacobian(z), dtype=float)
-        bound *= 1.0 + h * float(np.linalg.norm(jac, 2))
+        bound *= 1.0 + h * float(np.linalg.norm(field.jacobian(z), 2))
     if residual > bound:
         raise StageSolveError(
             f"implicit step residual {residual:.3e} exceeds {bound:.3e} at h={h}"
@@ -673,15 +710,23 @@ def advance(
 # reference solutions
 
 
-def _rk4_end(field: VectorField, x0: Array, t_end: float, n: int) -> Array:
+def _rk4_end(field: VectorField, x0: Array, t_end: float, n: int,
+             check: bool = False) -> Array:
+    """n classical RK4 steps from x0 to t_end; check holds f(x0) to the
+    `VectorField` contract.  0.5 * h * k is (0.5 * h) * k in Python, so
+    the hoisted products change no bit."""
     h = t_end / n
+    half, sixth = 0.5 * h, h / 6.0
     x = x0.copy()
     for _ in range(n):
         k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
+        if check:
+            _check_vector(k1, x.shape, "f(x)")
+            check = False
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
         k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
 
 
@@ -693,20 +738,23 @@ def reference_solve(
     The step count doubles until the Richardson estimate of the end-state
     error, |x_2n - x_n| / 15, drops below tol.  A negative or non-finite
     t_end, a tol that is not positive, a non-finite state and a step count
-    that reaches t_end / n < 1e-12 raise OracleError.
+    that reaches t_end / n < 1e-12 raise OracleError.  An x0 that is not
+    a vector, and an f(x0) outside the `VectorField` contract, raise
+    ConfigurationError.
     """
     x0 = np.asarray(x0, dtype=float)
     if not 0.0 <= t_end < math.inf:
         raise OracleError("reference solve needs a finite t_end >= 0")
     if not tol > 0:
         raise OracleError("reference solve needs tol > 0")
+    _check_vector(x0, what="x0")
     if t_end == 0.0:
         return x0.copy()
     n = max(1, int(math.ceil(t_end / 0.1)))
-    coarse = _rk4_end(field, x0, t_end, n)
+    coarse = _rk4_end(field, x0, t_end, n, check=True)
     while True:
         fine = _rk4_end(field, x0, t_end, 2 * n)
-        if not np.all(np.isfinite(fine)):
+        if not math.isfinite(fine.dot(fine)) and not np.isfinite(fine).all():
             raise OracleError(
                 f"reference solve reached a non-finite state at "
                 f"t_end={t_end:g} with n={2 * n} steps"

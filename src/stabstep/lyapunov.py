@@ -29,6 +29,7 @@ from .core import (
     StageSolveError,
     VectorField,
     _CHUNK_ROWS,
+    _check_vector,
     _chunked,
     _matvec,
     rk_increment,
@@ -62,6 +63,15 @@ def check_cap(r: float) -> None:
 class LyapunovFunction:
     """Positive definite V with its gradient and optional curvature data.
 
+    V and its gradient are called as they are.  Like the field's f (see
+    `core.VectorField`), v and grad take a 1-D float64 ndarray x; v
+    returns a number, which calling V turns into a float, and grad a
+    float64 ndarray of x's shape, which is not converted.  grad V is
+    checked once, where f is: by `state_terms` when it also evaluates V,
+    and on the first row of `certify_trajectory`.  A scalar, a list, a
+    float32 array or an array of another shape is refused there with
+    ConfigurationError.
+
     convex declares V convex, which implicit Euler's unconditional decrease
     needs.  hess_constant declares that hess returns the same matrix at
     every x; euler_q_phi evaluates it once, at x, and refuses a V without
@@ -77,10 +87,10 @@ class LyapunovFunction:
     hess_constant: bool = False
 
     def __call__(self, x: Array) -> float:
-        return float(self.v(np.asarray(x, dtype=float)))
+        return float(self.v(x))
 
     def gradient(self, x: Array) -> Array:
-        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
+        return self.grad(x)
 
 
 def quadratic_lyapunov(p: Array) -> LyapunovFunction:
@@ -112,12 +122,21 @@ def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array,
     """(f(x), V(x), grad V(x) . f(x)): what every decrease test at x shares.
 
     v, when given, must be V(x): a controller handed the certificate whose
-    x_next is x passes its lhs.  V is then not evaluated again.  The
+    x_next is x passes its lhs.  V is then not evaluated again.  When v
+    is not given, x is a caller's state, and x, f(x) and grad V(x) are
+    checked against the float64 contract of `core.VectorField`.  The
     product is the matmul's bit for bit, + 0.0 as in quadratic_lyapunov.
     """
+    if v is not None:
+        fx = field(x)
+        return fx, v, float(lyap.gradient(x).dot(fx)) + 0.0
+    _check_vector(x)
     fx = field(x)
-    return (fx, lyap(x) if v is None else v,
-            float(lyap.gradient(x).dot(fx)) + 0.0)
+    _check_vector(fx, x.shape, "f(x)")
+    v = lyap(x)
+    grad = lyap.gradient(x)
+    _check_vector(grad, x.shape, "grad V(x)")
+    return fx, v, float(grad.dot(fx)) + 0.0
 
 
 def decrease_test(
@@ -144,7 +163,6 @@ def decrease_test(
     if not 0.0 < h < math.inf:
         raise ConfigurationError("decrease test needs h > 0")
     check_lam(lam)
-    x = np.asarray(x, dtype=float)
     fx, v, w = terms or state_terms(lyap, field, x)
     rhs = v + lam * h * w
     try:
@@ -177,7 +195,8 @@ def halving_controller(
     """
     if not 0.0 < h_init < math.inf:
         raise ConfigurationError("h_init must be positive and finite")
-    x = np.asarray(x, dtype=float)
+    if terms is None:  # a caller's state, read below before state_terms
+        _check_vector(x)
     if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
         raise ConfigurationError("state x must be finite")
     terms = terms or state_terms(lyap, field, x)
@@ -221,7 +240,6 @@ def euler_q_phi(
     if lyap.hess is None or not lyap.hess_constant:
         raise ConfigurationError("euler_q_phi needs a Hessian declared "
                                  "hess_constant")
-    x = np.asarray(x, dtype=float)
     fx, _, w = terms or state_terms(lyap, field, x)
     if not -math.inf < w < 0.0:
         if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
@@ -229,7 +247,7 @@ def euler_q_phi(
         if not math.isfinite(w):
             raise ConfigurationError(f"grad V . f at x is {w}, not finite")
         raise ConfigurationError("grad V . f must be negative away from 0")
-    q = float(fx.dot(np.asarray(lyap.hess(x), dtype=float)).dot(fx))
+    q = float(fx.dot(lyap.hess(x)).dot(fx))
     if q <= 0.0:
         return r
     return min(2.0 * (1.0 - lam) * (-w) / q, r)
@@ -306,19 +324,22 @@ def certify_trajectory(
 
     Each threshold is V(x) + lam * h * grad V(x) . f(x), the one
     decrease_test compares against, with lam in (0, 1).  Halving counts are
-    the trajectory's halvings column, and are 0 without one.
+    the trajectory's halvings column, and are 0 without one.  The first
+    row checks f and grad V against the float64 contract of
+    `core.VectorField`, as `state_terms` does.
     """
     check_lam(lam)
     states, n = traj.states, traj.steps.size
     v, threshold, accepted = np.empty(n + 1), np.empty(n), np.empty(n, bool)
-    v_next = v[0] = lyap(states[0])  # each V(x_{i+1}) is the next V(x_i)
+    v_here = None  # V(x_0) comes from the first row's checked state_terms
     for lo in range(0, n, _CHUNK_ROWS):  # no list of every step at once
         for i, h in enumerate(traj.steps[lo:lo + _CHUNK_ROWS].tolist(), lo):
-            v_here = v_next
-            threshold[i] = bar = v_here + lam * h * state_terms(
-                lyap, field, states[i], v_here)[2]
-            v_next = v[i + 1] = lyap(states[i + 1])
-            accepted[i] = within_slack(v_next, bar)
+            _, v_here, w = state_terms(lyap, field, states[i], v_here)
+            v[i] = v_here
+            threshold[i] = bar = v_here + lam * h * w
+            v_here = lyap(states[i + 1])  # the next row's V(x_i)
+            accepted[i] = within_slack(v_here, bar)
+    v[n] = lyap(states[0]) if v_here is None else v_here
     first = None if accepted.all() else int(accepted.argmin())
     return CertificationReport(first is None, traj.tau, v, threshold,
                                accepted, traj.halvings, first)

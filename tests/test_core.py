@@ -217,8 +217,9 @@ def explicit_tableaus(draw):
     s = draw(st.integers(1, 5))
     a = np.zeros((s, s))
     for i in range(1, s):
-        if draw(st.booleans()):
-            a[i, draw(st.integers(0, i - 1))] = draw(st.floats(-2.0, 2.0))
+        if draw(st.booleans()):  # 1.0, as in Heun and RK4, is not multiplied
+            a[i, draw(st.integers(0, i - 1))] = draw(
+                st.one_of(st.just(1.0), st.floats(-2.0, 2.0)))
         else:
             a[i, :i] = draw(hnp.arrays(np.float64, i, elements=COEFFICIENTS))
     b = draw(hnp.arrays(np.float64, s, elements=st.floats(-1.0, 1.0)))
@@ -259,6 +260,24 @@ class TestStageShortcuts:
         inputs.clear()
         assert rk_increment(tab, field, x, h).tobytes() == expected.tobytes()
         assert inputs == plain_inputs  # every stage state, signed zeros too
+
+    @pytest.mark.parametrize("tab", [HEUN, RK4])
+    def test_unit_coefficient_keeps_special_values(self, tab):
+        # a row whose one coefficient is 1.0 skips the multiply: 1.0 * v is
+        # v bit for bit, for -0.0, inf and NaN too
+        assert tab.stage_terms[-1][1] == 1.0
+        special = np.array([-0.0, math.inf, -math.inf, math.nan, 1e-310])
+        inputs = []
+
+        def f(y):
+            inputs.append(y.tobytes())
+            return special.copy()
+
+        x = np.array([-0.0, 0.0, 1.0, -1.0, 2.0])
+        with np.errstate(invalid="ignore"):
+            rk_increment(tab, VectorField(dim=5, f=f), x, 0.5)
+            multiplied = x + 0.5 * (1.0 * special + 0.0)
+        assert inputs[-1] == multiplied.tobytes()
 
     def test_row_of_zeros_in_one_dimension(self):
         # a row of zeros takes the one-term shortcut: the dot of a

@@ -135,6 +135,38 @@ def test_benchmark_counts_audit_rows(tmp_path):
     assert (audited, written, measured) == (steps, steps, nodes)
 
 
+def test_benchmark_traces_every_field_call():
+    """The field is called only through VectorField.__call__, which
+    bench/tracing.py wraps as the span core.field: one certified run,
+    stepped and audited, records exactly one span per call of the
+    callable, under an explicit and the implicit scheme alike.  bench/ is
+    read in place, nothing is written."""
+    proc = run_python(
+        f"import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        f"import numpy as np, tracing, workloads\n"
+        f"from stabstep import applications, core, lyapunov\n"
+        f"tr = tracing.Tracer()\n"
+        f"tracing.install(tr)\n"
+        f"f2 = applications.example_fields()['f2']\n"
+        f"calls = []\n"
+        f"def f(x):\n"
+        f"    calls.append(1)\n"
+        f"    return f2.field.f(x)\n"
+        f"field = core.VectorField(2, f, jacobian=f2.field.jacobian)\n"
+        f"for tab in (core.RK4, core.IMPLICIT_EULER):\n"
+        f"    ctrl = lyapunov.HalvingController(f2.lyap, tab, field,\n"
+        f"                                      lam=0.5, h_init=1.0)\n"
+        f"    traj = core.advance(tab, field, ctrl, np.array([1.0, 0.5]),\n"
+        f"                        2.0)\n"
+        f"    lyapunov.certify_trajectory(f2.lyap, traj, 0.5, field)\n"
+        f"print(len(calls), tr.totals()[0]['core.field'])\n")
+    assert proc.returncode == 0, proc.stderr
+    called, spans = map(int, proc.stdout.split())
+    assert called > 0
+    assert spans == called
+
+
 def test_public_names_resolve_and_none_is_a_module():
     import types
 
