@@ -54,9 +54,7 @@ def _v_sq() -> LyapunovFunction:
     return LyapunovFunction(
         v=lambda x: float(x.dot(x)),
         grad=lambda x: 2.0 * x,
-        hess=lambda x: 2.0 * np.eye(x.size),
-        convex=True,
-        hess_constant=True,
+        hess=2.0 * np.eye(2),
     )
 
 
@@ -107,9 +105,7 @@ def example_fields() -> dict[str, ExampleSystem]:
     v427 = LyapunovFunction(
         v=lambda x: 0.5 * float(x.dot(x)),
         grad=lambda x: x.astype(float),
-        hess=lambda x: np.eye(2),
-        convex=True,
-        hess_constant=True,
+        hess=np.eye(2),
     )
 
     return {
@@ -366,9 +362,7 @@ def nlp_flow(q: Array, c: Array, a: Array, b: Array) -> NlpFlow:
     gmat = np.block([[q, a.T], [a, np.zeros((m, m))]])
     gsq = gmat @ gmat
     field = VectorField(dim=n + m, f=fvec, jacobian=lambda w: -gsq)
-    lyap = LyapunovFunction(v=v, grad=lambda w: -fvec(w),
-                            hess=lambda w: gsq, convex=True,
-                            hess_constant=True)
+    lyap = LyapunovFunction(v=v, grad=lambda w: -fvec(w), hess=gsq)
     hess_norm = float(np.max(np.abs(np.linalg.eigvalsh(gmat)))) ** 2
     return NlpFlow(field=field, lyap=lyap, n=n, m=m, hess_norm=hess_norm,
                    kkt_point=np.linalg.solve(gmat, np.concatenate([-c, b])))

@@ -42,9 +42,10 @@ class ErrorBudget:
     a_gain is the K-infinity envelope gain of the exact flow,
     l_of_x0 the increment Lipschitz constant, k_of_x0 the defect constant
     (|defect| <= K h^p), p the scheme order, x0_norm the initial-state norm
-    the gain is evaluated at.  lam must lie in (0, 1) and the other
-    constants must be positive and finite, except epsilon, which may be
-    inf: no accuracy target, so error_budget_step returns its cap.
+    the gain is evaluated at.  lam must lie in (0, 1), p must be a positive
+    integer and the other constants must be positive and finite, except
+    epsilon, which may be inf: no accuracy target, so error_budget_step
+    returns its cap.
     """
 
     epsilon: float
@@ -63,7 +64,7 @@ class ErrorBudget:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
         check_lam(self.lam)
-        if not self.p >= 1:
+        if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
             raise ConfigurationError("p must be a positive integer")
         if float(self.a_gain(0.0)) != 0.0:
             raise ConfigurationError("a_gain(0) must be 0")
@@ -80,9 +81,11 @@ def global_error(traj: HybridTrajectory, field: VectorField) -> Array:
 
 
 def error_bound_finite_time(budget: ErrorBudget, d_i: float, tau: float) -> float:
-    """Horizon-dependent bound (D/L)(e^{L tau} - 1)."""
+    """Horizon-dependent bound (D/L)(e^{L tau} - 1), for tau in [0, inf)."""
     if not d_i >= 0:
         raise ConfigurationError("defect supremum must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ConfigurationError("tau must lie in [0, inf)")
     big_l = budget.l_of_x0
     return (d_i / big_l) * math.expm1(big_l * tau)
 

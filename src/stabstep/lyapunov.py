@@ -12,7 +12,7 @@ Euler with a constant Hessian, linear systems with quadratic V).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -61,7 +61,7 @@ def check_cap(r: float) -> None:
 
 @dataclass(frozen=True)
 class LyapunovFunction:
-    """Positive definite V with its gradient and optional curvature data.
+    """Positive definite V with its gradient and optional constant Hessian.
 
     V and its gradient are called as they are.  Like the field's f (see
     `core.VectorField`), v and grad take a 1-D float64 ndarray x; v
@@ -72,29 +72,36 @@ class LyapunovFunction:
     float32 array or an array of another shape is refused there with
     ConfigurationError.
 
-    convex declares V convex, which implicit Euler's unconditional decrease
-    needs.  hess_constant declares that hess returns the same matrix at
-    every x; euler_q_phi evaluates it once, at x, and refuses a V without
-    it.
+    hess, when given, is V's Hessian, the same matrix at every x: a finite
+    (d, d) matrix, copied once to a read-only float64 array in its own
+    memory layout and left out of equality and hashing; anything else is
+    refused with ConfigurationError.  euler_q_phi needs it.
     V carries no field: every decrease threshold takes grad V(x) . f(x)
     from the field it is paired with.
     """
 
     v: Callable[[Array], float]
     grad: Callable[[Array], Array]
-    hess: Optional[Callable[[Array], Array]] = None
-    convex: bool = False
-    hess_constant: bool = False
+    hess: Optional[Array] = _field(default=None, compare=False)
+
+    def __post_init__(self):
+        if callable(self.hess):
+            raise ConfigurationError("hess must be a matrix, not a callable")
+        if self.hess is not None:
+            hess = np.array(self.hess, dtype=float, order="K")
+            if (hess.ndim != 2 or hess.shape[0] != hess.shape[1]
+                    or not np.isfinite(hess).all()):
+                raise ConfigurationError("hess must be a finite square matrix")
+            hess.flags.writeable = False
+            object.__setattr__(self, "hess", hess)
 
     def __call__(self, x: Array) -> float:
         return float(self.v(x))
 
-    def gradient(self, x: Array) -> Array:
-        return self.grad(x)
-
 
 def quadratic_lyapunov(p: Array) -> LyapunovFunction:
-    """V(x) = x' P x for symmetric positive semidefinite P.
+    """V(x) = x' P x, with Hessian 2P, for symmetric positive definite P;
+    any other P is refused with ConfigurationError.
 
     V and its gradient take their products with ndarray.dot, bit for bit
     the matmul's (`core._matvec`); the + 0.0 on V gives a one-element
@@ -106,14 +113,13 @@ def quadratic_lyapunov(p: Array) -> LyapunovFunction:
         raise ConfigurationError("P must be finite")
     if not np.allclose(p, p.T, atol=1e-12):
         raise ConfigurationError("P must be symmetric")
-    convex = bool(np.all(np.linalg.eigvalsh(p) >= -1e-12))
+    if not np.linalg.eigvalsh(p)[0] > 0.0:
+        raise ConfigurationError("P must be positive definite")
     p_dot = _matvec(p)
     return LyapunovFunction(
         v=lambda x: float(x.dot(p).dot(x)) + 0.0,
         grad=lambda x: 2.0 * p_dot(x),
-        hess=lambda x: 2.0 * p,
-        convex=convex,
-        hess_constant=True,
+        hess=2.0 * p,
     )
 
 
@@ -129,12 +135,12 @@ def state_terms(lyap: LyapunovFunction, field: VectorField, x: Array,
     """
     if v is not None:
         fx = field(x)
-        return fx, v, float(lyap.gradient(x).dot(fx)) + 0.0
+        return fx, v, float(lyap.grad(x).dot(fx)) + 0.0
     _check_vector(x)
     fx = field(x)
     _check_vector(fx, x.shape, "f(x)")
     v = lyap(x)
-    grad = lyap.gradient(x)
+    grad = lyap.grad(x)
     _check_vector(grad, x.shape, "grad V(x)")
     return fx, v, float(grad.dot(fx)) + 0.0
 
@@ -226,10 +232,10 @@ def euler_q_phi(
 ) -> float:
     """Largest explicit-Euler step passing the decrease test by curvature.
 
-    With q(x) = f' H_V f and H_V constant, any
-    h <= -2(1-lam) grad V . f / q(x) is accepted; nonpositive q means no
-    curvature obstruction and the cap r is returned.  A V not declared
-    hess_constant is refused with ConfigurationError.  terms, when given,
+    With q(x) = f' H_V f and H_V = lyap.hess, the same matrix at every
+    x, any h <= -2(1-lam) grad V . f / q(x) is accepted; nonpositive q
+    means no curvature obstruction and the cap r is returned.  A V without
+    hess is refused with ConfigurationError.  terms, when given,
     must be state_terms(lyap, field, x); its f(x) and grad V . f then serve
     the curvature too, and the decrease test of the chosen step.  A lam
     outside (0, 1), and a grad V . f that is not finite at x, raise
@@ -237,9 +243,8 @@ def euler_q_phi(
     """
     check_lam(lam)
     check_cap(r)
-    if lyap.hess is None or not lyap.hess_constant:
-        raise ConfigurationError("euler_q_phi needs a Hessian declared "
-                                 "hess_constant")
+    if lyap.hess is None:
+        raise ConfigurationError("euler_q_phi needs V's Hessian hess")
     fx, _, w = terms or state_terms(lyap, field, x)
     if not -math.inf < w < 0.0:
         if w == 0.0 and float(np.linalg.norm(fx)) == 0.0:
@@ -247,7 +252,7 @@ def euler_q_phi(
         if not math.isfinite(w):
             raise ConfigurationError(f"grad V . f at x is {w}, not finite")
         raise ConfigurationError("grad V . f must be negative away from 0")
-    q = float(fx.dot(lyap.hess(x)).dot(fx))
+    q = float(fx.dot(lyap.hess).dot(fx))
     if q <= 0.0:
         return r
     return min(2.0 * (1.0 - lam) * (-w) / q, r)
@@ -258,8 +263,9 @@ def linear_phi(a: Array, p: Array, x: Array, lam: float, r: float) -> float:
 
     Requires the decrease direction x'(A'P + PA)x < 0 at the given x; a zero
     denominator (Ax = 0) imposes no restriction and returns r.  A state x
-    that is not finite raises ConfigurationError.
+    that is not finite, and a lam outside (0, 1), raise ConfigurationError.
     """
+    check_lam(lam)
     check_cap(r)
     a = np.asarray(a, dtype=float)
     p = np.asarray(p, dtype=float)

@@ -28,6 +28,7 @@ from .core import (
     advance,
     write_csv,
 )
+from .lyapunov import check_cap
 
 ScalarFunc = Callable[[float], float]
 
@@ -40,7 +41,8 @@ class CascadeSystem:
     (n,): a_vec(x)[i] is the damping a_{i+1}(x_{i+1}) of node i+1, and
     f_vec(x)[i] its coupling f_{i+1}(x_1, ..., x_i), which reads only the
     nodes upstream of it.  l_bounds[i] is a positive lower bound on
-    a_vec(x)[i].  r, when set, caps the step size.
+    a_vec(x)[i].  r, when set, caps the step size and must be positive and
+    finite.
     """
 
     n: int
@@ -55,16 +57,22 @@ class CascadeSystem:
         l = np.asarray(self.l_bounds, dtype=float)
         if l.shape != (self.n,) or not np.all(l > 0):
             raise ConfigurationError("l_bounds must be n positive scalars")
+        if self.r is not None:
+            check_cap(self.r)
         object.__setattr__(self, "l_bounds", l)
 
 
 def partitioned_step(sys: CascadeSystem, x: Array, h: float) -> Array:
-    """One semi-implicit chain update of every node from the pre-step x."""
+    """One semi-implicit chain update of every node from the pre-step x,
+    which must have shape (n,)."""
     if not 0.0 < h < math.inf:
         raise ConfigurationError("step must be positive")
     if sys.r is not None and h > sys.r:
         raise ConfigurationError(f"step {h} exceeds the chain bound r={sys.r}")
     x = np.asarray(x, dtype=float)
+    if x.shape != (sys.n,):
+        raise ConfigurationError(f"state x has shape {x.shape}, not the "
+                                 f"chain's ({sys.n},)")
     return (x + h * sys.f_vec(x)) / (1.0 + h * sys.a_vec(x))
 
 
@@ -135,10 +143,10 @@ def sigma_constant(r: float, big_l: float) -> float:
     """Largest sigma with 1/(1+s) <= exp(-sigma s) on [0, rL].
 
     Equals ln(1+rL)/(rL); evaluated by a short series when rL is tiny to
-    dodge cancellation in log1p(s)/s.
+    dodge cancellation in log1p(s)/s.  r and L must be positive and finite.
     """
-    if not (r > 0 and big_l > 0):
-        raise ConfigurationError("r and L must be positive")
+    if not (0 < r < math.inf and 0 < big_l < math.inf):
+        raise ConfigurationError("r and L must be positive and finite")
     s = r * big_l
     if s < 1e-8:
         return 1.0 - s / 2.0 + s * s / 3.0

@@ -76,7 +76,7 @@ class TestFieldValues:
         x = np.array([1.0, 2.0])
 
         def lie(name):
-            return float(systems[name].lyap.gradient(x) @ systems[name].field(x))
+            return float(systems[name].lyap.grad(x) @ systems[name].field(x))
 
         assert lie("f1") == pytest.approx(-2.0 * 5.0)
         assert lie("f2") == pytest.approx(-2.0 * 25.0)
@@ -314,7 +314,7 @@ class TestNlpFlow:
         rng = np.random.default_rng(71)
         for _ in range(20):
             w = rng.normal(size=3) * 2.0
-            lhs = float(flow.lyap.gradient(w) @ flow.field(w))
+            lhs = float(flow.lyap.grad(w) @ flow.field(w))
             rhs = -float(flow.field(w) @ flow.field(w))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 

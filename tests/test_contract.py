@@ -221,24 +221,25 @@ class ConvertingField(VectorField):
 
 
 class ConvertingLyapunov(LyapunovFunction):
-    """V and grad V with the conversions they once made."""
+    """The V call that converted the state in; `converting` wraps grad V
+    in the conversions it once made."""
 
     def __call__(self, x):
         return float(self.v(np.asarray(x, dtype=float)))
 
-    def gradient(self, x):
-        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
-
 
 def converting(field: VectorField, lyap: LyapunovFunction):
-    jac = field.jacobian
+    jac, grad = field.jacobian, lyap.grad
     return (ConvertingField(
                 field.dim, field.f,
                 None if jac is None
                 else lambda x: np.asarray(jac(x), dtype=float),
                 field.linear_matrix),
-            ConvertingLyapunov(lyap.v, lyap.grad, lyap.hess, lyap.convex,
-                               lyap.hess_constant))
+            ConvertingLyapunov(
+                lyap.v,
+                lambda x: np.asarray(grad(np.asarray(x, dtype=float)),
+                                     dtype=float),
+                lyap.hess))
 
 
 PLANAR = example_fields()

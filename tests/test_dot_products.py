@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stabstep.applications import example_fields, nlp_flow
-from stabstep.core import ConfigurationError, linear_field
+from stabstep.core import ConfigurationError, VectorField, linear_field
 from stabstep.lyapunov import quadratic_lyapunov, state_terms
 
 M1 = np.array([[-1.0, 1.0], [-1.0, -1.0]])
@@ -31,12 +31,16 @@ def same_array(u, w) -> bool:
 
 
 @st.composite
-def square(draw, dim, elements, symmetric=False):
+def square(draw, dim, elements, symmetric=False, definite=False):
     """A dim x dim matrix, C- or F-ordered; a symmetric one copies its
-    upper triangle, so it is symmetric exactly."""
+    upper triangle, so it is symmetric exactly, and a definite one also
+    adds (dim + 1) max|m| + 1 to its diagonal, which makes every
+    eigenvalue at least max|m| + 1."""
     m = draw(hnp.arrays(np.float64, (dim, dim), elements=elements))
     if symmetric:
         m = np.triu(m) + np.triu(m, 1).T
+    if definite:
+        m = m + ((dim + 1) * float(np.max(np.abs(m))) + 1.0) * np.eye(dim)
     return np.asfortranarray(m) if draw(st.booleans()) else m
 
 
@@ -46,14 +50,14 @@ def test_one_element_products_keep_the_matmul_zero():
     minus = np.array([[-1.0]])
     field = linear_field(minus)
     assert same_array(field(np.array([0.0])), minus @ np.array([0.0]))
-    x = np.array([1.0])
-    neg_zero = quadratic_lyapunov(np.array([[-0.0]]))
-    assert same(neg_zero(x), float(x @ np.array([[-0.0]]) @ x))
     one = np.eye(1)
-    assert same_array(quadratic_lyapunov(one).gradient(np.array([-0.0])),
-                      2.0 * (one @ np.array([-0.0])))
+    lyap = quadratic_lyapunov(one)
+    for x in (np.array([0.0]), np.array([-0.0])):
+        assert same(lyap(x), float(x @ one @ x))
+        assert same_array(lyap.grad(x), 2.0 * (one @ x))
     # grad V = [+0.0] and f = [-1.0]: grad V . f is -0.0 as a bare product
-    assert same(state_terms(neg_zero, field, x)[2], 0.0)
+    push = VectorField(dim=1, f=lambda x: np.array([-1.0]))
+    assert same(state_terms(lyap, push, np.array([0.0]))[2], 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -61,12 +65,12 @@ def test_one_element_products_keep_the_matmul_zero():
 def test_linear_field_and_quadratic_v(data):
     dim = data.draw(st.integers(1, 8))
     a = data.draw(square(dim, SMALL))
-    p = data.draw(square(dim, SMALL, symmetric=True))
+    p = data.draw(square(dim, SMALL, symmetric=True, definite=True))
     x = data.draw(hnp.arrays(np.float64, dim, elements=SMALL))
     assert same_array(linear_field(a)(x), a @ x)
     lyap = quadratic_lyapunov(p)
     assert same(lyap(x), float(x @ p @ x))
-    assert same_array(lyap.gradient(x), 2.0 * (p @ x))
+    assert same_array(lyap.grad(x), 2.0 * (p @ x))
 
 
 @settings(max_examples=30, deadline=None)

@@ -72,6 +72,12 @@ class TestFiniteTimeBound:
         val = error_bound_finite_time(budget, 1e-3, 2.0)
         assert val == pytest.approx(1e-3 * (math.e ** 2 - 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("tau", [math.nan, -1.0, -1e-300, math.inf])
+    def test_time_outside_the_half_line_is_refused(self, tau):
+        # tau = NaN once gave a NaN bound, tau = -1 the bound -0.632
+        with pytest.raises(ConfigurationError, match=r"^tau must lie in"):
+            error_bound_finite_time(unit_budget(), 1e-3, tau)
+
     def test_euler_composition(self):
         """Measured global error stays under the accumulated-defect bound."""
         rng = np.random.default_rng(41)
@@ -397,7 +403,7 @@ class TestBudgetValidation:
         ("lam", 2.0), ("lam", 1.0), ("lam", 0.0), ("lam", math.nan),
         ("sigma", math.inf), ("sigma", math.nan), ("l_of_x0", math.inf),
         ("k_of_x0", math.inf), ("x0_norm", math.inf), ("epsilon", math.nan),
-        ("p", math.nan)])
+        ("p", math.nan), ("p", 1.5), ("p", math.inf), ("p", 0), ("p", 2.0)])
     def test_constant_out_of_range_is_refused(self, name, value):
         # lam = 2 with sigma = inf used to pass, with a NaN exponent
         args = dict(epsilon=0.1, sigma=1.0, lam=0.5, a_gain=lambda s: s,

@@ -3,7 +3,7 @@
 import gc
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -56,13 +56,50 @@ def vsq():
     return quadratic_lyapunov(np.eye(2))
 
 
-# V = |x|^2/2 + |x|^4/4, convex, with a Hessian that varies with x
+# V = |x|^2/2 + |x|^4/4, convex, with a Hessian that varies with x, so
+# that the pairing cannot carry it as its constant hess
+def quartic_hess(x):
+    return (1.0 + float(x @ x)) * np.eye(x.size) + 2.0 * np.outer(x, x)
+
+
 QUARTIC = LyapunovFunction(
     v=lambda x: 0.5 * float(x @ x) + 0.25 * float(x @ x) ** 2,
     grad=lambda x: (1.0 + float(x @ x)) * x,
-    hess=lambda x: (1.0 + float(x @ x)) * np.eye(x.size) + 2.0 * np.outer(x, x),
-    convex=True,
 )
+
+
+class TestLyapunovFunctionFields:
+    def test_fields_are_pinned(self):
+        # a new knob on the pairing has to change this list
+        assert [f.name for f in fields(LyapunovFunction)] \
+            == ["v", "grad", "hess"]
+
+    def test_hess_is_a_read_only_copy_in_its_layout(self):
+        m = np.asfortranarray([[2.0, 1.0], [1.0, 3.0]])
+        lyap = LyapunovFunction(QUARTIC.v, QUARTIC.grad, m)
+        assert lyap.hess.dtype == np.float64 and lyap.hess.flags.f_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            lyap.hess[0, 0] = 0.0
+        m[0, 0] = 5.0
+        assert lyap.hess[0, 0] == 2.0
+        assert LyapunovFunction(QUARTIC.v, QUARTIC.grad,
+                                [[1, 0], [0, 1]]).hess.dtype == np.float64
+
+    def test_hess_is_left_out_of_equality_and_hashing(self):
+        a = LyapunovFunction(QUARTIC.v, QUARTIC.grad, np.eye(2))
+        b = LyapunovFunction(QUARTIC.v, QUARTIC.grad, 2.0 * np.eye(3))
+        assert a == b and hash(a) == hash(b) == hash(QUARTIC)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(np.ones(2), id="vector"),
+        pytest.param(np.ones((2, 3)), id="not-square"),
+        pytest.param(np.ones((1, 2, 2)), id="3-d"),
+        pytest.param([[math.nan]], id="nan"),
+        pytest.param([[1.0, 0.0], [0.0, -math.inf]], id="inf"),
+        pytest.param(quartic_hess, id="callable")])
+    def test_bad_hess_is_refused(self, bad):
+        with pytest.raises(ConfigurationError, match="hess must be"):
+            LyapunovFunction(QUARTIC.v, QUARTIC.grad, bad)
 
 
 class TestQuadraticLyapunov:
@@ -71,9 +108,31 @@ class TestQuadraticLyapunov:
         lyap = quadratic_lyapunov(p)
         x = np.array([1.0, -2.0])
         assert lyap(x) == pytest.approx(x @ p @ x)
-        np.testing.assert_allclose(lyap.gradient(x), 2.0 * p @ x)
-        np.testing.assert_allclose(lyap.hess(x), 2.0 * p)
-        assert lyap.convex
+        np.testing.assert_allclose(lyap.grad(x), 2.0 * p @ x)
+        np.testing.assert_array_equal(lyap.hess, 2.0 * p)
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(-np.eye(2), id="negative-definite"),
+        pytest.param(np.zeros((2, 2)), id="zero"),
+        pytest.param([[-0.0]], id="minus-zero"),
+        pytest.param(np.diag([1.0, -1e-300]), id="indefinite"),
+        pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite-coupled")])
+    def test_not_positive_definite_is_refused(self, p):
+        with pytest.raises(ConfigurationError, match="P must be positive "
+                                                     "definite"):
+            quadratic_lyapunov(p)
+
+    def test_a_blow_up_is_not_certified(self):
+        # x' = x with P = -I: V = -|x|^2 falls as explicit Euler doubles
+        # |x| on every step, so the run once took 10 steps without a
+        # halving, ended at |x| = 1024, and its audit reported ok=True
+        field = linear_field(np.eye(2))
+        with pytest.raises(ConfigurationError, match="positive definite"):
+            lyap = quadratic_lyapunov(-np.eye(2))
+            controller = HalvingController(lyap, EULER, field, lam=0.5,
+                                           h_init=1.0)
+            traj = advance(EULER, field, controller, [1.0, 0.0], 10.0)
+            certify_trajectory(lyap, traj, 0.5, field)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -227,24 +286,30 @@ class TestCurvatureBounds:
         pytest.param(replace(quadratic_lyapunov(np.eye(2)), hess=None),
                      id="no-hess")])
     def test_hessian_not_declared_constant_is_refused(self, lyap):
-        # the law reads H_V once, at x, as its bound over the whole step;
-        # for a Hessian that varies along the ray that is no bound
+        # the law takes H_V as its bound over the whole step, so it needs
+        # the constant hess; a V whose Hessian varies has none to give
         field = spiral()
         x = np.array([1.0, -0.5])
-        with pytest.raises(ConfigurationError, match="hess_constant"):
+        with pytest.raises(ConfigurationError, match="Hessian hess"):
             euler_q_phi(lyap, field, x, 0.5, 1.0)
-        with pytest.raises(ConfigurationError, match="hess_constant"):
+        with pytest.raises(ConfigurationError, match="Hessian hess"):
             EulerQController(lyap, field, lam=0.5, r=1.0)(x, 0.0)
 
     @pytest.mark.parametrize("lam", [1.5, 5.0, math.nan, 0.0, -0.5])
     def test_lam_outside_the_unit_interval_is_refused(self, lam):
         # once -0.488 for lam = 1.5, NaN for NaN, a step for 0, and for
-        # EulerQController(lam=5) "decrease test needs h > 0"
+        # EulerQController(lam=5) "decrease test needs h > 0"; linear_phi
+        # gave negative steps, which advance refused only as "controller
+        # proposed step"
         x = np.array([1.0, -0.5])
         with pytest.raises(ConfigurationError, match="lam"):
             euler_q_phi(vsq(), spiral(), x, lam, 1.0)
         with pytest.raises(ConfigurationError, match="lam"):
             EulerQController(vsq(), spiral(), lam=lam, r=1.0)(x, 0.0)
+        with pytest.raises(ConfigurationError, match="lam"):
+            linear_phi(M1, np.eye(2), x, lam, 1.0)
+        with pytest.raises(ConfigurationError, match="lam"):
+            LinearQuadraticController(M1, np.eye(2), lam, 1.0)(x, 0.0)
 
     def test_positive_lie_derivative_rejected(self):
         grow = linear_field(np.array([[1.0]]))

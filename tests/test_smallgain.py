@@ -69,6 +69,22 @@ class TestPartitionedStep:
         with pytest.raises(ConfigurationError, match="step must be positive"):
             partitioned_step(unit_chain(3), np.ones(3), h)
 
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones(6), np.ones((5, 1)),
+                                   np.ones((1, 5)), 1.0])
+    def test_refuses_a_state_of_another_shape(self, x):
+        # a 3-vector on a five-node chain once came back as a 3-vector
+        with pytest.raises(ConfigurationError, match=r"shape .* \(5,\)"):
+            partitioned_step(unit_chain(5), x, 0.5)
+
+    @pytest.mark.parametrize("r", [math.nan, -1.0, 0.0, math.inf])
+    def test_refuses_a_cap_that_is_not_positive_and_finite(self, r):
+        # r = NaN once turned the cap off, and r = -1 refused every step
+        # as exceeding "the chain bound r=-1"
+        with pytest.raises(ConfigurationError, match="^r must be positive"):
+            advection_chain(3, 3.0, lambda y: 0.0, 0.0, r=r)
+        with pytest.raises(ConfigurationError, match="^r must be positive"):
+            CascadeSystem(3, np.ones(3), lambda x: x, lambda x: x, r=r)
+
 
 class TestAdvanceChain:
     def test_clock_and_shapes(self):
@@ -238,6 +254,14 @@ class TestSigmaConstant:
     def test_refuses_what_is_not_positive(self, r, big_l):
         # a NaN passes an `r <= 0` test and used to come back as sigma = NaN
         with pytest.raises(ConfigurationError, match="r and L"):
+            sigma_constant(r, big_l)
+
+    @pytest.mark.parametrize("r, big_l", [(math.inf, 1.0), (1.0, math.inf),
+                                          (math.inf, math.inf)])
+    def test_refuses_what_is_not_finite(self, r, big_l):
+        # log1p(inf) / inf once came back as sigma = NaN
+        with pytest.raises(ConfigurationError, match="r and L must be "
+                                                     "positive and finite"):
             sigma_constant(r, big_l)
 
 

@@ -84,13 +84,16 @@ def reference_rk_increment(
 PLANAR = example_fields()
 
 # V = |x|^2 / 2 + |x|^4 / 4 is convex, so its descent field is a gradient
-# system with a nonlinear, symmetric negative definite Jacobian.
+# system with a nonlinear, symmetric negative definite Jacobian, minus
+# V's Hessian, which varies with x.
 QUARTIC = LyapunovFunction(
     v=lambda x: 0.5 * float(x @ x) + 0.25 * float(x @ x) ** 2,
     grad=lambda x: (1.0 + float(x @ x)) * x,
-    hess=lambda x: (1.0 + float(x @ x)) * np.eye(x.size) + 2.0 * np.outer(x, x),
-    convex=True,
 )
+
+
+def quartic_hess(x):
+    return (1.0 + float(x @ x)) * np.eye(x.size) + 2.0 * np.outer(x, x)
 
 
 @st.composite
@@ -106,8 +109,8 @@ def stage_problems(draw):
         shift = float(np.max(np.linalg.eigvals(m).real)) + rng.uniform(0.25, 1.5)
         field = linear_field(m - shift * np.eye(dim))
     elif kind == "gradient":
-        field = VectorField(dim=dim, f=lambda x: -QUARTIC.gradient(x),
-                            jacobian=lambda x: -QUARTIC.hess(x))
+        field = VectorField(dim=dim, f=lambda x: -QUARTIC.grad(x),
+                            jacobian=lambda x: -quartic_hess(x))
     else:
         field = PLANAR[kind].field
     if not draw(st.booleans()):
